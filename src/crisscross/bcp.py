@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,11 +27,14 @@ __all__ = [
     "simulate_rbm",
     "optimal_queue_path",
     "estimate_j_star",
-    "estimate_discounted_marginals",
     "admissibility_audit",
 ]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+
+# Paths simulated per batch. The batch layout fixes the order of the random
+# draws, so changing it changes every estimate.
+_BATCH_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,19 @@ def optimal_queue_path(path: RbmPath, limits: NetworkLimits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostEstimate:
+    """Monte Carlo mean with its standard error (None for a single path).
+
+    estimate_j_star fills marginals with the discounted integrals of the two
+    reflected workload coordinates, estimated on the same paths.
+    """
+
     mean: float
     stderr: float | None
     n_paths: int
     dt: float
     horizon: float
     truncation_bound: float
+    marginals: tuple["CostEstimate", "CostEstimate"] | None = None
 
 
 def _tail_bound(gamma: float, horizon: float, coeff: np.ndarray, sigma: np.ndarray, drift: np.ndarray) -> float:
@@ -190,30 +200,6 @@ def _tail_bound(gamma: float, horizon: float, coeff: np.ndarray, sigma: np.ndarr
     for a, s, d in zip(coeff, sigma, drift):
         total += a * (s * math.sqrt(2.0 / math.pi) * root_part + abs(d) * lin_part)
     return math.exp(-g * T) * total
-
-
-def _iter_workload_batches(
-    limits: NetworkLimits,
-    dt: float,
-    n_steps: int,
-    n_paths: int,
-    gen: np.random.Generator,
-    bridge: bool,
-    batch_size: int,
-) -> Iterator[np.ndarray]:
-    """Yield reflected workload batches of shape (k, n_steps+1, 2)."""
-    pdrift, pcov, pchol = _workload_projection(limits)
-    step_var = np.diag(pcov) * dt
-    sqdt = math.sqrt(dt)
-    left = n_paths
-    while left > 0:
-        k = min(batch_size, left)
-        left -= k
-        z = gen.standard_normal(size=(k, n_steps, 2))
-        incr = (z @ pchol.T) * sqdt + pdrift * dt
-        x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
-        pushing = _reflect_grid(x, step_var, gen, bridge)
-        yield x + pushing
 
 
 def _discount_weights(gamma: float, n_steps: int, dt: float) -> np.ndarray:
@@ -235,13 +221,18 @@ def estimate_j_star(
     n_paths: int = 100_000,
     seed: SeedLike = 0,
     bridge_minima: bool = True,
-    batch_size: int = 128,
 ) -> CostEstimate:
     """Monte Carlo estimate of the limiting optimal discounted holding cost.
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
     point). horizon defaults to 15/gamma.
+
+    The same paths also give the discounted integral of each reflected
+    workload coordinate, returned in the result's marginals. These have
+    closed forms when the drift offsets vanish (the reflected coordinates
+    are then driftless Brownian motions), which makes them the calibration
+    target for the grid scheme.
     """
     gamma = limits.gamma
     if horizon is None:
@@ -252,10 +243,19 @@ def estimate_j_star(
     gen = _as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     mu1, mu2, mu3 = limits.mu
+    pdrift, pcov, pchol = _workload_projection(limits)
+    step_var = np.diag(pcov) * dt
+    sqdt = math.sqrt(dt)
     wts = _discount_weights(gamma, n, dt)
 
-    chunks = []
-    for w in _iter_workload_batches(limits, dt, n, n_paths, gen, bridge_minima, batch_size):
+    # Per-path discounted integrals: the cost, then each workload coordinate.
+    samples = [np.empty(n_paths) for _ in range(3)]
+    for start in range(0, n_paths, _BATCH_SIZE):
+        k = min(_BATCH_SIZE, n_paths - start)
+        z = gen.standard_normal(size=(k, n, 2))
+        incr = (z @ pchol.T) * sqdt + pdrift * dt
+        x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
+        w = x + _reflect_grid(x, step_var, gen, bridge_minima)
         w1 = w[:, :-1, 0]
         w2 = w[:, :-1, 1]
         cost = np.where(
@@ -263,60 +263,28 @@ def estimate_j_star(
             heavy3[0] * w1 + heavy3[1] * w2,
             heavy1[0] * w1 + heavy1[1] * w2,
         )
-        chunks.append(cost @ wts)
-    samples = np.concatenate(chunks)
-    mean, stderr = _mc_summary(samples)
+        rows = slice(start, start + k)
+        samples[0][rows] = cost @ wts
+        samples[1][rows] = w1 @ wts
+        samples[2][rows] = w2 @ wts
 
-    pdrift, pcov, _ = _workload_projection(limits)
-    coeff = np.array(
-        [max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]
-    )
-    bound = _tail_bound(gamma, horizon, coeff, np.sqrt(np.diag(pcov)), pdrift)
-    return CostEstimate(
-        mean=mean, stderr=stderr, n_paths=n_paths, dt=dt, horizon=horizon, truncation_bound=bound
-    )
-
-
-def estimate_discounted_marginals(
-    limits: NetworkLimits,
-    dt: float = 1e-3,
-    horizon: float | None = None,
-    n_paths: int = 100_000,
-    seed: SeedLike = 0,
-    bridge_minima: bool = True,
-    batch_size: int = 128,
-) -> tuple[CostEstimate, CostEstimate]:
-    """Discounted time-integrals of each reflected workload coordinate.
-
-    These have closed forms when the drift offsets vanish (the reflected
-    coordinates are then driftless Brownian motions), which makes them the
-    calibration target for the grid scheme.
-    """
-    gamma = limits.gamma
-    if horizon is None:
-        horizon = 15.0 / gamma
-    n = int(round(horizon / dt))
-    gen = _as_generator(seed)
-    wts = _discount_weights(gamma, n, dt)
-
-    per_coord = [[], []]
-    for w in _iter_workload_batches(limits, dt, n, n_paths, gen, bridge_minima, batch_size):
-        per_coord[0].append(w[:, :-1, 0] @ wts)
-        per_coord[1].append(w[:, :-1, 1] @ wts)
-
-    pdrift, pcov, _ = _workload_projection(limits)
     sigma = np.sqrt(np.diag(pcov))
-    out = []
-    for i in (0, 1):
-        samples = np.concatenate(per_coord[i])
-        mean, stderr = _mc_summary(samples)
-        coeff = np.zeros(2)
-        coeff[i] = 1.0
-        bound = _tail_bound(gamma, horizon, coeff, sigma, pdrift)
-        out.append(
-            CostEstimate(mean=mean, stderr=stderr, n_paths=n_paths, dt=dt, horizon=horizon, truncation_bound=bound)
+    coeffs = (
+        np.array([max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]),
+        np.array([1.0, 0.0]),
+        np.array([0.0, 1.0]),
+    )
+    cost_est, *marginals = (
+        CostEstimate(
+            *_mc_summary(values),
+            n_paths=n_paths,
+            dt=dt,
+            horizon=horizon,
+            truncation_bound=_tail_bound(gamma, horizon, coeff, sigma, pdrift),
         )
-    return out[0], out[1]
+        for values, coeff in zip(samples, coeffs)
+    )
+    return replace(cost_est, marginals=tuple(marginals))
 
 
 @dataclass(frozen=True)

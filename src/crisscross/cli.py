@@ -14,8 +14,9 @@ import sys
 
 import numpy as np
 
-from .bcp import estimate_discounted_marginals, estimate_j_star
+from .bcp import estimate_j_star
 from .experiments import (
+    _BCP_TAG,
     SweepConfig,
     convergence_sweep,
     ld_check,
@@ -108,14 +109,15 @@ def _cmd_simulate(cfg: Config, seed: int, args, fh) -> None:
 
 
 def _cmd_bcp(cfg: Config, seed: int, args, fh) -> None:
-    kwargs = dict(
+    ref = estimate_j_star(
+        cfg.limits,
         dt=args.dt,
         horizon=args.horizon,
         n_paths=args.paths,
+        seed=np.random.SeedSequence(entropy=(seed, _BCP_TAG)),
         bridge_minima=not args.no_bridge,
     )
-    ref = estimate_j_star(cfg.limits, seed=np.random.SeedSequence(entropy=(seed, 2)), **kwargs)
-    m1, m2 = estimate_discounted_marginals(cfg.limits, seed=np.random.SeedSequence(entropy=(seed, 2)), **kwargs)
+    m1, m2 = ref.marginals
     fh.write("quantity,mean,stderr,n_paths,dt,horizon,truncation_bound\n")
     for name, est in (("j_star", ref), ("workload1_marginal", m1), ("workload2_marginal", m2)):
         fh.write(

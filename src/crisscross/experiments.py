@@ -154,7 +154,6 @@ class SweepConfig:
     seed: int = 0
     shared_streams: bool = True
     bcp_dt: float = 1e-3
-    bcp_horizon: float | None = None
     bcp_paths: int = 100_000
 
 
@@ -214,7 +213,6 @@ def convergence_sweep(
     j_star = estimate_j_star(
         limits,
         dt=config.bcp_dt,
-        horizon=config.bcp_horizon,
         n_paths=config.bcp_paths,
         seed=np.random.SeedSequence(entropy=(config.seed, _BCP_TAG)),
     )

@@ -286,13 +286,23 @@ class Config:
     horizon: float = 15.0
 
 
+def _as_number(value, key: str) -> float:
+    """The one reader for numeric config fields: a finite JSON number."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")
+    return number
+
+
 def _as_floats(raw, key: str, n: int) -> tuple[float, ...]:
     if not isinstance(raw, (list, tuple)) or len(raw) != n:
         raise ConfigError(f"key {key!r} must be a list of {n} numbers, got {raw!r}")
-    try:
-        return tuple(float(x) for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r} must contain numbers: {exc}") from None
+    return tuple(_as_number(x, key) for x in raw)
 
 
 def parse_config(raw: dict) -> Config:
@@ -310,25 +320,20 @@ def parse_config(raw: dict) -> Config:
     mu = _as_floats(raw["mu"], "mu", 3)
     h = _as_floats(raw["h"], "h", 3)
     b = _as_floats(raw.get("b", (0.0, 0.0, 0.0)), "b", 3)
-    try:
-        gamma = float(raw["gamma"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"key 'gamma' must be a number, got {raw['gamma']!r}") from None
-    limits = NetworkLimits(lam=lam, mu=mu, h=h, gamma=gamma, b=b)
+    limits = NetworkLimits(lam=lam, mu=mu, h=h, gamma=_as_number(raw["gamma"], "gamma"), b=b)
     report = validate_limits(limits)
     if not report.ok:
         raise ConfigError(str(report))
 
     kwargs = {}
-    if "ell0" in raw:
-        kwargs["ell0"] = float(raw["ell0"])
-    if "c" in raw:
-        kwargs["c"] = float(raw["c"])
+    for key in ("ell0", "c"):
+        if key in raw:
+            kwargs[key] = _as_number(raw[key], key)
     if "r_list" in raw:
         rl = raw["r_list"]
         if not isinstance(rl, (list, tuple)) or not rl:
             raise ConfigError(f"key 'r_list' must be a non-empty list, got {rl!r}")
-        kwargs["r_list"] = tuple(float(x) for x in rl)
+        kwargs["r_list"] = tuple(_as_number(x, "r_list") for x in rl)
     if "seed" in raw:
         seed = raw["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -340,7 +345,7 @@ def parse_config(raw: dict) -> Config:
             raise ConfigError(f"key 'replications' must be a positive integer, got {reps!r}")
         kwargs["replications"] = reps
     if "horizon" in raw:
-        horizon = float(raw["horizon"])
+        horizon = _as_number(raw["horizon"], "horizon")
         if not (horizon > 0.0):
             raise ConfigError(f"key 'horizon' must be > 0, got {horizon!r}")
         kwargs["horizon"] = horizon
@@ -354,6 +359,6 @@ def load_config(path: str) -> Config:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     return parse_config(raw)

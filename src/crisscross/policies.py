@@ -8,18 +8,15 @@ and fall back to buffer 1 whenever buffer 2 is empty.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .params import RNetwork
 
 __all__ = [
-    "Action",
     "IDLE",
     "BUFFER1",
     "BUFFER2",
     "BUFFER3",
-    "threshold_decide",
-    "priority_decide",
     "indicator_form_audit",
     "PolicyAuditError",
     "make_policy",
@@ -32,50 +29,6 @@ BUFFER2 = 2
 BUFFER3 = 3
 
 
-class Action(NamedTuple):
-    """Buffer each server works on next (0 = idle)."""
-
-    server1: int
-    server2: int
-
-
-def threshold_decide(q: tuple[int, int, int], net: RNetwork) -> Action:
-    """Threshold rule for one decision epoch.
-
-    With ratio = mu2^r/mu1^r, the state is "safe" when
-    q3 - ratio*q1 < threshold_low: the downstream buffer can be replenished
-    quickly out of buffer 1's backlog. In the safe regime server 1 drains
-    buffer 2 unless the downstream stock is already near the high mark
-    (q3 >= threshold_high - 1) or there is nothing to drain. Outside it,
-    buffer 2 is drained unless buffer 1 has grown past
-    (mu1^r/mu2^r)(threshold_high - threshold_low + 2).
-    """
-    q1, q2, q3 = q
-    server2 = BUFFER3 if q3 > 0 else IDLE
-    if q1 + q2 == 0:
-        return Action(IDLE, server2)
-    mu1, mu2 = net.mu[0], net.mu[1]
-    if q3 - (mu2 / mu1) * q1 < net.threshold_low:
-        serve_first = q3 >= net.threshold_high - 1 or q2 == 0
-    else:
-        serve_first = q1 >= (mu1 / mu2) * (net.threshold_high - net.threshold_low + 2) or q2 == 0
-    return Action(BUFFER1 if serve_first else BUFFER2, server2)
-
-
-def priority_decide(q: tuple[int, int, int], preferred: int) -> Action:
-    """Static priority at server 1 (preferred in {1, 2}); server 2 non-idling."""
-    if preferred not in (1, 2):
-        raise ValueError(f"preferred buffer must be 1 or 2, got {preferred!r}")
-    q1, q2, q3 = q
-    server2 = BUFFER3 if q3 > 0 else IDLE
-    first, second = (q1, q2) if preferred == 1 else (q2, q1)
-    if first > 0:
-        return Action(BUFFER1 if preferred == 1 else BUFFER2, server2)
-    if second > 0:
-        return Action(BUFFER2 if preferred == 1 else BUFFER1, server2)
-    return Action(IDLE, server2)
-
-
 class PolicyAuditError(AssertionError):
     """Raised when the indicator form and the decision rule disagree on a state."""
 
@@ -86,8 +39,9 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     The rule can be written as indicator algebra over four events (safe
     regime, downstream-near-full-or-empty-feed, buffer-1-overgrown-or-empty-
     feed, any-work-for-server-1). This audit evaluates those products
-    directly and checks they reproduce threshold_decide, that at most one
-    buffer receives server 1, and that no empty buffer is ever served.
+    directly and checks they reproduce make_policy("threshold", net), that
+    at most one buffer receives server 1, and that no empty buffer is ever
+    served.
     """
     q1, q2, q3 = q
     mu1, mu2 = net.mu[0], net.mu[1]
@@ -108,13 +62,10 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     if serve2 and q2 == 0:
         raise PolicyAuditError(f"state {q}: buffer 2 selected while empty")
 
-    action = threshold_decide(q, net)
-    expected1 = BUFFER1 if serve1 else (BUFFER2 if serve2 else IDLE)
-    expected2 = BUFFER3 if serve3 else IDLE
-    if action != Action(expected1, expected2):
-        raise PolicyAuditError(
-            f"state {q}: indicator form gives ({expected1}, {expected2}), decision rule gives {tuple(action)}"
-        )
+    action = make_policy("threshold", net)(q1, q2, q3)
+    expected = (BUFFER1 if serve1 else (BUFFER2 if serve2 else IDLE), BUFFER3 if serve3 else IDLE)
+    if action != expected:
+        raise PolicyAuditError(f"state {q}: indicator form gives {expected}, decision rule gives {action}")
     return True
 
 
@@ -124,10 +75,23 @@ POLICY_NAMES = ("threshold", "priority1", "priority2")
 
 
 def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
-    """Compile a named policy to a fast per-event closure.
+    """Compile a named policy to a per-event closure (q1, q2, q3) ->
+    (server1, server2) of buffer indices (0 = idle).
 
-    The closures return plain (server1, server2) int pairs and agree with
-    threshold_decide / priority_decide state by state (tested exhaustively).
+    Server 2 serves buffer 3 whenever it is nonempty. For server 1:
+
+    - "priority1" / "priority2": static priority to buffer 1 / buffer 2,
+      falling back to the other buffer when the preferred one is empty.
+    - "threshold" (needs net): with ratio = mu2^r/mu1^r the state is "safe"
+      when q3 - ratio*q1 < threshold_low, i.e. the downstream buffer can be
+      replenished quickly out of buffer 1's backlog. In the safe regime
+      server 1 drains buffer 2 unless the downstream stock is already near
+      the high mark (q3 >= threshold_high - 1) or there is nothing to drain.
+      Outside it, buffer 2 is drained unless buffer 1 has grown past
+      (mu1^r/mu2^r)(threshold_high - threshold_low + 2). Server 1 idles
+      only when buffers 1 and 2 are both empty.
+
+    indicator_form_audit re-derives the threshold rule independently.
     """
     if name == "threshold":
         if net is None:

@@ -21,7 +21,6 @@ from .policies import BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, make_policy
 from .workload import WorkloadMatrix
 
 __all__ = [
-    "SimState",
     "Trajectory",
     "ScaledTrajectory",
     "ConservationReport",
@@ -34,18 +33,6 @@ __all__ = [
 ]
 
 SeedLike = Union[int, np.random.SeedSequence]
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Snapshot at one event epoch."""
-
-    t: float
-    queues: tuple[int, int, int]
-    counts: tuple[int, int, int, int, int]  # arrivals 1, 2; services 1, 2, 3
-    alloc: tuple[float, float, float]       # cumulative busy time per buffer
-    idle: tuple[float, float]               # cumulative idle time per server
-    activity: tuple[int, int]               # buffer each server works on (0 = idle)
 
 
 @dataclass
@@ -68,16 +55,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.epochs.shape[0]
-
-    def state(self, k: int) -> SimState:
-        return SimState(
-            t=float(self.epochs[k]),
-            queues=tuple(int(x) for x in self.queues[k]),
-            counts=tuple(int(x) for x in self.counts[k]),
-            alloc=tuple(float(x) for x in self.alloc[k]),
-            idle=tuple(float(x) for x in self.idle[k]),
-            activity=tuple(int(x) for x in self.activity[k]),
-        )
 
 
 def _exp_source(gen: np.random.Generator, rate: float, chunk: int = 8192):
@@ -106,8 +83,9 @@ def simulate(
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
     policy is a registered name or a callable (q1, q2, q3) -> (server1,
-    server2) returning buffer indices (0 = idle). The same (net, policy,
-    horizon, seed) always reproduces the identical trajectory.
+    server2) returning buffer indices (0 = idle); it is consulted once per
+    recorded row, so it must be a function of the queues alone. The same
+    (net, policy, horizon, seed) always reproduces the identical trajectory.
     """
     if not (horizon >= 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon = {horizon!r} must be finite and >= 0")
@@ -127,20 +105,39 @@ def simulate(
     a1 = a2 = c1 = c2 = c3 = 0
     t1 = t2 = t3 = 0.0
 
-    act1, act2 = policy_fn(0, 0, 0)
     svc1_buf = IDLE          # buffer server 1's pending completion belongs to
     svc1_due = inf
     svc2_due = inf
     next_a1 = draw_a1()
     next_a2 = draw_a2()
 
-    col_t = [0.0]
-    col_q1, col_q2, col_q3 = [0], [0], [0]
-    col_a1, col_a2, col_c1, col_c2, col_c3 = [0], [0], [0], [0], [0]
-    col_t1, col_t2, col_t3 = [0.0], [0.0], [0.0]
-    col_act1, col_act2 = [act1], [act2]
+    col_t = []
+    col_q1, col_q2, col_q3 = [], [], []
+    col_a1, col_a2, col_c1, col_c2, col_c3 = [], [], [], [], []
+    col_t1, col_t2, col_t3 = [], [], []
+    col_act1, col_act2 = [], []
 
     while True:
+        # One row for the initial state, one per event, and a terminal row at
+        # the horizon unless the last event fell exactly on it.
+        act1, act2 = policy_fn(q1, q2, q3)
+        col_t.append(t)
+        col_q1.append(q1)
+        col_q2.append(q2)
+        col_q3.append(q3)
+        col_a1.append(a1)
+        col_a2.append(a2)
+        col_c1.append(c1)
+        col_c2.append(c2)
+        col_c3.append(c3)
+        col_t1.append(t1)
+        col_t2.append(t2)
+        col_t3.append(t3)
+        col_act1.append(act1)
+        col_act2.append(act2)
+        if t >= horizon:
+            break
+
         # Reconcile service clocks with the in-force action. A changed
         # assignment discards the pending completion and resamples (resume-
         # type preemption); an unchanged one keeps its clock.
@@ -166,7 +163,9 @@ def simulate(
         if svc2_due < t_next:
             t_next = svc2_due
         if t_next > horizon:
-            break
+            # No event before the horizon: the terminal row only advances
+            # the allocations, since every clock below lies past it.
+            t_next = horizon
 
         dt = t_next - t
         if act1 == BUFFER1:
@@ -196,52 +195,10 @@ def simulate(
                 q3 += 1
             svc1_due = inf
             svc1_buf = IDLE  # completion consumed; next assignment resamples
-        else:
+        elif t_next == svc2_due:
             q3 -= 1
             c3 += 1
             svc2_due = inf
-
-        act1, act2 = policy_fn(q1, q2, q3)
-
-        col_t.append(t)
-        col_q1.append(q1)
-        col_q2.append(q2)
-        col_q3.append(q3)
-        col_a1.append(a1)
-        col_a2.append(a2)
-        col_c1.append(c1)
-        col_c2.append(c2)
-        col_c3.append(c3)
-        col_t1.append(t1)
-        col_t2.append(t2)
-        col_t3.append(t3)
-        col_act1.append(act1)
-        col_act2.append(act2)
-
-    if t < horizon:
-        # Terminal row at the horizon: allocations advance under the in-force
-        # action, queues and counters are unchanged.
-        dt = horizon - t
-        if act1 == BUFFER1:
-            t1 += dt
-        elif act1 == BUFFER2:
-            t2 += dt
-        if act2 == BUFFER3:
-            t3 += dt
-        col_t.append(horizon)
-        col_q1.append(q1)
-        col_q2.append(q2)
-        col_q3.append(q3)
-        col_a1.append(a1)
-        col_a2.append(a2)
-        col_c1.append(c1)
-        col_c2.append(c2)
-        col_c3.append(c3)
-        col_t1.append(t1)
-        col_t2.append(t2)
-        col_t3.append(t3)
-        col_act1.append(act1)
-        col_act2.append(act2)
 
     epochs = np.asarray(col_t, dtype=np.float64)
     queues = np.stack(

@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
-from crisscross.bcp import estimate_discounted_marginals
+from crisscross.bcp import estimate_j_star
 from crisscross.cli import main
 from crisscross.experiments import (
     SweepConfig,
@@ -27,7 +27,7 @@ from crisscross.experiments import (
     run_diagnostics,
 )
 from crisscross.params import NetworkLimits, compute_threshold_constants, make_r_network
-from crisscross.policies import indicator_form_audit, threshold_decide
+from crisscross.policies import indicator_form_audit
 from crisscross.simulate import check_conservation, diffusion_scale, simulate
 from crisscross.workload import (
     SamplePath,
@@ -148,7 +148,7 @@ def test_criterion_02_reflection_map_properties():
 
 def test_criterion_03_reflected_workload_marginals():
     t0 = time.perf_counter()
-    m1, m2 = estimate_discounted_marginals(LIMITS, dt=1e-3, n_paths=100_000, seed=3)
+    m1, m2 = estimate_j_star(LIMITS, dt=1e-3, n_paths=100_000, seed=3).marginals
     elapsed = time.perf_counter() - t0
     target1 = 1.0 / math.sqrt(2.0)
     rel1 = abs(m1.mean - target1) / target1

@@ -8,7 +8,6 @@ import pytest
 from crisscross.bcp import (
     LimitBm,
     admissibility_audit,
-    estimate_discounted_marginals,
     estimate_j_star,
     optimal_queue_path,
     simulate_rbm,
@@ -138,15 +137,15 @@ def test_discounted_workload_marginals_near_their_targets():
     """The discounted integrals of the two reflected coordinates have known
     values 1/sqrt(2) and 1 for the symmetric example; a modest run should
     land within 5% of both."""
-    m1, m2 = estimate_discounted_marginals(LIMITS, dt=0.01, n_paths=4000, seed=11)
+    m1, m2 = estimate_j_star(LIMITS, dt=0.01, n_paths=4000, seed=11).marginals
     assert m1.mean == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
     assert m2.mean == pytest.approx(1.0, rel=0.05)
     assert m1.stderr is not None and m1.stderr < 0.02
 
 
 def test_grid_refinement_moves_the_estimate_within_noise():
-    coarse, _ = estimate_discounted_marginals(LIMITS, dt=0.02, n_paths=3000, seed=41)
-    fine, _ = estimate_discounted_marginals(LIMITS, dt=0.01, n_paths=3000, seed=42)
+    coarse, _ = estimate_j_star(LIMITS, dt=0.02, n_paths=3000, seed=41).marginals
+    fine, _ = estimate_j_star(LIMITS, dt=0.01, n_paths=3000, seed=42).marginals
     spread = 3.0 * math.hypot(coarse.stderr, fine.stderr)
     assert abs(coarse.mean - fine.mean) <= spread
 

@@ -129,6 +129,37 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "unknown config keys" in payload["detail"]
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("ell0", None),
+        ("c", [3]),
+        ("r_list", [None]),
+        ("horizon", None),
+        ("r_list", ["a"]),
+        ("horizon", "x"),
+        ("ell0", "abc"),
+    ],
+)
+def test_malformed_numeric_field_is_a_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(GOOD, **{key: value})), encoding="utf-8")
+    assert main(["thresholds", "--config", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "config"
+    assert repr(key) in payload["detail"]
+
+
+def test_unreadable_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(GOOD)[:-1] + ', "seed": 1' + "0" * 5000 + "}", encoding="utf-8")
+    assert main(["thresholds", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    path.write_bytes(b'{"gamma": "\xff"}')
+    assert main(["thresholds", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_invalid_limits_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(GOOD, mu=[2.0, 2.0, 1.5])), encoding="utf-8")

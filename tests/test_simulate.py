@@ -196,17 +196,6 @@ def test_diffusion_identities_hold_without_drift_offsets_too():
     np.testing.assert_allclose(scaled.netput @ m.T + scaled.idle, scaled.workload, atol=1e-9)
 
 
-def test_trajectory_state_accessor():
-    net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
-    traj = simulate(net, "threshold", 100.0, 6)
-    state = traj.state(0)
-    assert state.t == 0.0
-    assert state.queues == (0, 0, 0)
-    mid = traj.state(len(traj) // 2)
-    assert mid.t > 0.0
-    assert all(isinstance(x, int) for x in mid.queues)
-
-
 def test_csv_round_trip_shape():
     net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 60.0, 2)
