@@ -67,10 +67,8 @@ class LimitBm:
         return np.linalg.cholesky(self.cov)
 
 
-def _workload_projection(limits: NetworkLimits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _workload_projection(bm: LimitBm, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drift, covariance, and Cholesky factor of the two workload netputs."""
-    bm = LimitBm.from_limits(limits)
-    proj = WorkloadMatrix(limits.mu).array
     drift = proj @ bm.drift
     cov = proj @ bm.cov @ proj.T
     return drift, cov, np.linalg.cholesky(cov)
@@ -101,25 +99,35 @@ def _as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _reflect_grid(x: np.ndarray, step_var: np.ndarray, gen, bridge: bool) -> np.ndarray:
-    """Pushing processes for free paths x of shape (k, n+1, m).
+def _grid_steps(dt: float, horizon: float) -> int:
+    """Number of grid steps of length dt covering [0, horizon]; at least one."""
+    if not (0.0 < dt < math.inf) or not (0.0 < horizon < math.inf):
+        raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt!r}, horizon={horizon!r}")
+    n = int(round(horizon / dt))
+    if n < 1:
+        raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
+    return n
 
-    With bridge=True the within-step minima are drawn from the exact bridge
-    minimum law per coordinate: m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2
-    given step endpoints a, b and step variance v.
+
+def _reflect_grid(x: np.ndarray, step_var: np.ndarray, gen, bridge: bool) -> np.ndarray:
+    """Pushing processes for free paths x of shape (k, n+1, m) starting at 0.
+
+    Each step's minimum is the smaller endpoint, or with bridge=True a draw
+    from the exact bridge minimum law per coordinate:
+    m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step endpoints a, b and
+    step variance v. The pushing is minus the running minimum of the step
+    minima and 0.
     """
+    a = x[:, :-1, :]
+    b = x[:, 1:, :]
     if bridge:
-        a = x[:, :-1, :]
-        b = x[:, 1:, :]
         u = gen.random(size=a.shape)
         disc = (b - a) ** 2 - 2.0 * step_var * np.log(u)
         minima = 0.5 * (a + b - np.sqrt(disc))
-        low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=1)
-        pushing = np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
     else:
-        low = np.minimum.accumulate(np.minimum(x, 0.0), axis=1)
-        pushing = -low
-    return pushing
+        minima = np.minimum(a, b)
+    low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=1)
+    return np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
 
 
 def simulate_rbm(
@@ -134,11 +142,7 @@ def simulate_rbm(
     Keeps the free three-dimensional path so the queue reconstruction and
     admissibility audits can run on the result.
     """
-    if not (dt > 0.0) or not (horizon > 0.0):
-        raise ValueError(f"need dt > 0 and horizon > 0, got dt={dt!r}, horizon={horizon!r}")
-    n = int(round(horizon / dt))
-    if n < 1:
-        raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
+    n = _grid_steps(dt, horizon)
     gen = _as_generator(seed)
     bm = LimitBm.from_limits(limits)
     chol = bm.chol
@@ -149,7 +153,7 @@ def simulate_rbm(
 
     proj = WorkloadMatrix(limits.mu).array
     free_w = x @ proj.T                       # (n+1, 2)
-    _, pcov, _ = _workload_projection(limits)
+    _, pcov, _ = _workload_projection(bm, proj)
     step_var = np.diag(pcov) * dt
     pushing = _reflect_grid(free_w[None, :, :], step_var, gen, bridge_minima)[0]
     times = np.arange(n + 1) * dt
@@ -237,13 +241,14 @@ def estimate_j_star(
     gamma = limits.gamma
     if horizon is None:
         horizon = 15.0 / gamma
-    if not (dt > 0.0) or not (horizon > 0.0) or n_paths < 1:
-        raise ValueError("need dt > 0, horizon > 0, n_paths >= 1")
-    n = int(round(horizon / dt))
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
+    n = _grid_steps(dt, horizon)
     gen = _as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     mu1, mu2, mu3 = limits.mu
-    pdrift, pcov, pchol = _workload_projection(limits)
+    bm = LimitBm.from_limits(limits)
+    pdrift, pcov, pchol = _workload_projection(bm, WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
     sqdt = math.sqrt(dt)
     wts = _discount_weights(gamma, n, dt)

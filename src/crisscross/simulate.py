@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -35,26 +36,62 @@ __all__ = [
 SeedLike = Union[int, np.random.SeedSequence]
 
 
+# The five queue moves an event can make, in counting-process order:
+# arrival 1, arrival 2, service at buffer 1, 2 (routed to 3) and 3.
+_MOVES = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 1], [0, 0, -1]], dtype=np.int64)
+
+
 @dataclass
 class Trajectory:
     """Piecewise-constant record of a single run.
 
     Row k describes the state on [epochs[k], epochs[k+1]); the last row sits
-    at the horizon. Queue and count columns are exact integers; alloc and
-    idle columns are cumulative times.
+    at the horizon. The record stores only what the simulator decides: the
+    epochs, the queues (exact integers) and the activity in force. The
+    counting processes, busy times and idleness follow from these and are
+    derived on first access:
+
+    - counts (n, 5): cumulative arrivals 1-2 and services 1-3, one per row
+      whose queue move is the matching event (any other move counts for
+      nothing, so a corrupted row breaks the flow identities);
+    - alloc (n, 3): cumulative busy time at buffers 1-3, the elapsed time
+      under the activity in force;
+    - idle (n, 2): elapsed time minus busy time, per server.
     """
 
     r: float
     horizon: float
     epochs: np.ndarray      # (n,) float
     queues: np.ndarray      # (n, 3) int64
-    counts: np.ndarray      # (n, 5) int64
-    alloc: np.ndarray       # (n, 3) float
-    idle: np.ndarray        # (n, 2) float
     activity: np.ndarray    # (n, 2) int8
 
     def __len__(self) -> int:
         return self.epochs.shape[0]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        moves = np.diff(self.queues, axis=0)
+        events = np.ones((len(moves), 5), dtype=bool)
+        for j in range(3):
+            events &= moves[:, j, None] == _MOVES[:, j]
+        counts = np.zeros((len(self), 5), dtype=np.int64)
+        np.cumsum(events, axis=0, out=counts[1:])
+        return counts
+
+    @cached_property
+    def alloc(self) -> np.ndarray:
+        # Sequential accumulation, so each column is the running sum of its
+        # busy intervals exactly as an event loop would add them.
+        act = self.activity[:-1]
+        busy = np.stack([act[:, 0] == BUFFER1, act[:, 0] == BUFFER2, act[:, 1] == BUFFER3], axis=1)
+        alloc = np.zeros((len(self), 3))
+        np.add.accumulate(np.where(busy, np.diff(self.epochs)[:, None], 0.0), axis=0, out=alloc[1:])
+        return alloc
+
+    @cached_property
+    def idle(self) -> np.ndarray:
+        ep, al = self.epochs, self.alloc
+        return np.stack([ep - al[:, 0] - al[:, 1], ep - al[:, 2]], axis=1)
 
 
 def _exp_source(gen: np.random.Generator, rate: float, chunk: int = 8192):
@@ -102,8 +139,6 @@ def simulate(
     inf = math.inf
     t = 0.0
     q1 = q2 = q3 = 0
-    a1 = a2 = c1 = c2 = c3 = 0
-    t1 = t2 = t3 = 0.0
 
     svc1_buf = IDLE          # buffer server 1's pending completion belongs to
     svc1_due = inf
@@ -113,8 +148,6 @@ def simulate(
 
     col_t = []
     col_q1, col_q2, col_q3 = [], [], []
-    col_a1, col_a2, col_c1, col_c2, col_c3 = [], [], [], [], []
-    col_t1, col_t2, col_t3 = [], [], []
     col_act1, col_act2 = [], []
 
     while True:
@@ -125,14 +158,6 @@ def simulate(
         col_q1.append(q1)
         col_q2.append(q2)
         col_q3.append(q3)
-        col_a1.append(a1)
-        col_a2.append(a2)
-        col_c1.append(c1)
-        col_c2.append(c2)
-        col_c3.append(c3)
-        col_t1.append(t1)
-        col_t2.append(t2)
-        col_t3.append(t3)
         col_act1.append(act1)
         col_act2.append(act2)
         if t >= horizon:
@@ -163,64 +188,32 @@ def simulate(
         if svc2_due < t_next:
             t_next = svc2_due
         if t_next > horizon:
-            # No event before the horizon: the terminal row only advances
-            # the allocations, since every clock below lies past it.
+            # No event before the horizon: the terminal row moves no queue,
+            # since every clock below lies past it.
             t_next = horizon
-
-        dt = t_next - t
-        if act1 == BUFFER1:
-            t1 += dt
-        elif act1 == BUFFER2:
-            t2 += dt
-        if act2 == BUFFER3:
-            t3 += dt
         t = t_next
 
         # Fixed order breaks exact float ties: arrivals, then server 1, then 2.
         if t_next == next_a1:
             q1 += 1
-            a1 += 1
             next_a1 = t + draw_a1()
         elif t_next == next_a2:
             q2 += 1
-            a2 += 1
             next_a2 = t + draw_a2()
         elif t_next == svc1_due:
             if svc1_buf == BUFFER1:
                 q1 -= 1
-                c1 += 1
             else:
                 q2 -= 1
-                c2 += 1
                 q3 += 1
             svc1_due = inf
             svc1_buf = IDLE  # completion consumed; next assignment resamples
         elif t_next == svc2_due:
             q3 -= 1
-            c3 += 1
             svc2_due = inf
 
-    epochs = np.asarray(col_t, dtype=np.float64)
     queues = np.stack(
         [np.asarray(col_q1, dtype=np.int64), np.asarray(col_q2, dtype=np.int64), np.asarray(col_q3, dtype=np.int64)],
-        axis=1,
-    )
-    counts = np.stack(
-        [
-            np.asarray(col_a1, dtype=np.int64),
-            np.asarray(col_a2, dtype=np.int64),
-            np.asarray(col_c1, dtype=np.int64),
-            np.asarray(col_c2, dtype=np.int64),
-            np.asarray(col_c3, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    alloc = np.stack(
-        [np.asarray(col_t1, dtype=np.float64), np.asarray(col_t2, dtype=np.float64), np.asarray(col_t3, dtype=np.float64)],
-        axis=1,
-    )
-    idle = np.stack(
-        [epochs - alloc[:, 0] - alloc[:, 1], epochs - alloc[:, 2]],
         axis=1,
     )
     activity = np.stack(
@@ -230,11 +223,8 @@ def simulate(
     return Trajectory(
         r=net.r,
         horizon=float(horizon),
-        epochs=epochs,
+        epochs=np.asarray(col_t, dtype=np.float64),
         queues=queues,
-        counts=counts,
-        alloc=alloc,
-        idle=idle,
         activity=activity,
     )
 

@@ -83,6 +83,8 @@ def test_single_step_and_degenerate_grids():
         simulate_rbm(LIMITS, dt=0.0, horizon=1.0, seed=1)
     with pytest.raises(ValueError):
         simulate_rbm(LIMITS, dt=1.0, horizon=0.2, seed=1)
+    with pytest.raises(ValueError):
+        estimate_j_star(LIMITS, dt=1.0, horizon=0.4, n_paths=10)
 
 
 def test_cheapest_queue_configuration_prices_the_workload():

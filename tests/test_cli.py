@@ -177,3 +177,10 @@ def test_unusable_r_exits_2(config_path, capsys):
     assert main(["simulate", "--config", config_path, "--r", "1"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "arguments"
+
+
+@pytest.mark.parametrize("dt,horizon", [("1", "0.4"), ("0.1", "inf"), ("inf", "1")])
+def test_bcp_grid_without_a_finite_step_count_exits_2(config_path, capsys, dt, horizon):
+    assert main(["bcp", "--config", config_path, "--dt", dt, "--horizon", horizon, "--paths", "10"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "arguments"

@@ -1,5 +1,7 @@
-"""Golden outputs: the six subcommands of acceptance criterion 10 must
-reproduce stored bytes exactly, not only agree with a second run.
+"""Golden outputs: the six subcommands of acceptance criterion 10, and the
+raw and fluid views of `simulate`, must reproduce stored bytes exactly, not
+only agree with a second run. The raw view prints the busy times T1-T3 and
+idleness I1-I2 unscaled.
 
 The files under tests/golden/ were captured with numpy 2.4.6 (PCG64 streams,
 float formatting via %.17g). A refactor that keeps the random streams must
@@ -34,6 +36,8 @@ CONFIG = {
 
 COMMANDS = {
     "simulate": ["simulate", "--r", "5", "--horizon-scaled", "0.2", "--scale", "diffusion"],
+    "simulate-raw": ["simulate", "--r", "5", "--horizon-scaled", "0.2", "--scale", "raw"],
+    "simulate-fluid": ["simulate", "--r", "5", "--horizon-scaled", "0.2", "--scale", "fluid"],
     "bcp": ["bcp", "--dt", "0.05", "--paths", "200"],
     "converge": ["converge", "--policies", "threshold,priority1", "--bcp-dt", "0.05", "--bcp-paths", "200"],
     "thresholds": ["thresholds"],

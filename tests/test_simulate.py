@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crisscross.params import NetworkLimits, RNetwork, make_r_network
-from crisscross.policies import BUFFER3
+from crisscross.policies import BUFFER1, BUFFER2, BUFFER3
 from crisscross.simulate import (
     check_conservation,
     diffusion_scale,
@@ -21,6 +21,7 @@ LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), ga
 DRIFTED = NetworkLimits(
     lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0, b=(0.5, -0.25, 0.75)
 )
+ASYMMETRIC = NetworkLimits(lam=(0.8, 1.8), mu=(2.0, 3.0, 1.8), h=(1.2, 1.0, 0.6), gamma=1.0)
 
 
 def _idle_server1(q1: int, q2: int, q3: int) -> tuple[int, int]:
@@ -96,6 +97,51 @@ def test_conservation_flags_a_corrupted_flow_balance():
     report = check_conservation(traj)
     assert not report.ok
     assert any("flow" in v or "balance" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("policy", ["threshold", "priority1", "priority2"])
+def test_derived_counts_and_busy_times_match_row_by_row_bookkeeping(limits, policy):
+    """Counting processes and busy times re-accumulated event by event in
+    plain Python, as a simulator would keep them, equal the derived columns
+    bit for bit."""
+    net = make_r_network(limits, 8.0, 1.2, 3.0)
+    traj = simulate(net, policy, 400.0, 17)
+    events = {(1, 0, 0): 0, (0, 1, 0): 1, (-1, 0, 0): 2, (0, -1, 1): 3, (0, 0, -1): 4}
+    counts = [0] * 5
+    busy = [0.0] * 3
+    count_rows = [tuple(counts)]
+    busy_rows = [tuple(busy)]
+    q = traj.queues.tolist()
+    t = traj.epochs.tolist()
+    act = traj.activity.tolist()
+    for k in range(1, len(traj)):
+        move = (q[k][0] - q[k - 1][0], q[k][1] - q[k - 1][1], q[k][2] - q[k - 1][2])
+        if move in events:
+            counts[events[move]] += 1
+        else:
+            assert k == len(traj) - 1 and move == (0, 0, 0)
+        dt = t[k] - t[k - 1]
+        if act[k - 1][0] == BUFFER1:
+            busy[0] += dt
+        elif act[k - 1][0] == BUFFER2:
+            busy[1] += dt
+        if act[k - 1][1] == BUFFER3:
+            busy[2] += dt
+        count_rows.append(tuple(counts))
+        busy_rows.append(tuple(busy))
+    assert np.array_equal(traj.counts, np.array(count_rows, dtype=np.int64))
+    assert traj.alloc.tobytes() == np.array(busy_rows).tobytes()
+
+
+def test_conservation_flags_a_double_arrival():
+    net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
+    traj = simulate(net, "threshold", 200.0, 1)
+    arrivals = np.flatnonzero(np.diff(traj.queues[:, 0]) == 1) + 1
+    k = int(arrivals[arrivals >= len(traj) // 2][0])
+    traj.queues[k:, 0] += 1
+    report = check_conservation(traj)
+    assert any(v.startswith("flow:") for v in report.violations), report.violations
 
 
 def test_conservation_flags_tampered_idleness():
