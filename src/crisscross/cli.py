@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .params import Config, ConfigError, compute_threshold_constants, load_config, make_r_network
 from .policies import POLICY_NAMES
-from .simulate import diffusion_scale, fluid_scale, simulate, write_scaled_csv, write_trajectory_csv
+from .simulate import SCALES, ScaledTrajectory, diffusion_scale, simulate, write_scaled_csv
 
 __all__ = ["main"]
 
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True, help="scaling parameter of the network to simulate")
     p.add_argument("--policy", choices=POLICY_NAMES, default="threshold")
     p.add_argument("--horizon-scaled", type=float, default=None, help="scaled horizon (default: config horizon)")
-    p.add_argument("--scale", choices=("raw", "fluid", "diffusion"), default="raw")
+    p.add_argument("--scale", choices=SCALES, default="raw")
     p.add_argument("--rep", type=int, default=0, help="replication index (selects the random substream)")
 
     p = sub.add_parser("bcp", help="estimate the Brownian reference cost and workload marginals")
@@ -100,12 +100,7 @@ def _cmd_simulate(cfg: Config, seed: int, args, fh) -> None:
     net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
     horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
     traj = simulate(net, args.policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, args.rep))
-    if args.scale == "raw":
-        write_trajectory_csv(traj, fh)
-    elif args.scale == "fluid":
-        write_scaled_csv(fluid_scale(traj, net), fh)
-    else:
-        write_scaled_csv(diffusion_scale(traj, net), fh)
+    write_scaled_csv(ScaledTrajectory(traj, net, args.scale), fh)
 
 
 def _cmd_bcp(cfg: Config, seed: int, args, fh) -> None:

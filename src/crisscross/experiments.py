@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -68,10 +67,11 @@ def _float_key(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def replication_seed(seed: int, r: float, rep: int, policy_salt: int = 0) -> np.random.SeedSequence:
-    """Deterministic per-replication seed. policy_salt = 0 shares streams
-    across policies (common random numbers)."""
-    return np.random.SeedSequence(entropy=(seed, _SIM_TAG, _float_key(r), rep, policy_salt))
+def replication_seed(seed: int, r: float, rep: int) -> np.random.SeedSequence:
+    """Deterministic per-replication seed; it ignores the policy, so every
+    policy sees the same streams (common random numbers)."""
+    # The trailing 0 was a per-policy salt; it stays so the streams do not change.
+    return np.random.SeedSequence(entropy=(seed, _SIM_TAG, _float_key(r), rep, 0))
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,12 @@ def estimate_cost(
     horizon_scaled: float,
     n_reps: int,
     seed: int,
-    shared_streams: bool = True,
 ) -> DiscountedCostRun:
     """Replicate the simulator and integrate the discounted cost per run.
 
-    Replication k uses substreams derived from (seed, r, k); with
-    shared_streams the derivation ignores the policy, so different policies
-    see identical arrival streams (common random numbers). The unscaled
-    simulation horizon is r^2 * horizon_scaled.
+    Replication k uses substreams derived from (seed, r, k) alone, so
+    different policies see identical arrival streams (common random
+    numbers). The unscaled simulation horizon is r^2 * horizon_scaled.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
@@ -118,13 +116,12 @@ def estimate_cost(
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
     name = _policy_name(policy)
     policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
-    salt = 0 if shared_streams else zlib.crc32(name.encode())
     horizon = net.r * net.r * horizon_scaled
 
     values = np.empty(n_reps)
     tails = np.empty(n_reps)
     for rep in range(n_reps):
-        traj = simulate(net, policy_fn, horizon, replication_seed(seed, net.r, rep, salt))
+        traj = simulate(net, policy_fn, horizon, replication_seed(seed, net.r, rep))
         cost = discounted_cost(diffusion_scale(traj, net), h, gamma)
         values[rep] = cost.value
         tails[rep] = cost.tail
@@ -152,7 +149,6 @@ class SweepConfig:
     horizon_scaled: float = 15.0
     n_reps: int = 200
     seed: int = 0
-    shared_streams: bool = True
     bcp_dt: float = 1e-3
     bcp_paths: int = 100_000
 
@@ -207,7 +203,6 @@ def convergence_sweep(
                     horizon_scaled=config.horizon_scaled,
                     n_reps=config.n_reps,
                     seed=config.seed,
-                    shared_streams=config.shared_streams,
                 )
             )
     j_star = estimate_j_star(

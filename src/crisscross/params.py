@@ -157,9 +157,11 @@ def make_r_network(limits: NetworkLimits, r: float, ell0: float, c: float) -> RN
     lam1 = limits.lam[0] + b1 * limits.mu[0] / r
     lam2 = limits.lam[1] + b2 * limits.mu[1] / r
     mu3 = lam2 * r / (r + b3)
-    if lam1 <= 0.0 or lam2 <= 0.0 or mu3 <= 0.0:
-        raise ValueError(f"r = {r!r} too small: perturbed rates not positive")
+    if not all(0.0 < rate < math.inf for rate in (lam1, lam2, mu3)):
+        raise ValueError(f"r = {r!r}: perturbed rates ({lam1!r}, {lam2!r}, {mu3!r}) must be finite and > 0")
     logr = math.log(r)
+    if not math.isfinite(c * ell0 * logr):
+        raise ValueError(f"threshold size c * ell0 * log(r) is not finite (ell0={ell0!r}, c={c!r}, r={r!r})")
     low = math.floor(ell0 * logr)
     high = math.floor(c * ell0 * logr)
     mu1, mu2 = limits.mu[0], limits.mu[1]

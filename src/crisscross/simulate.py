@@ -29,7 +29,6 @@ __all__ = [
     "fluid_scale",
     "diffusion_scale",
     "check_conservation",
-    "write_trajectory_csv",
     "write_scaled_csv",
 ]
 
@@ -268,6 +267,9 @@ def check_conservation(traj: Trajectory, atol: float = 1e-9) -> ConservationRepo
     bad((q[:, 2] != cnt[:, 3] - cnt[:, 4]), "flow: q3 != services2 - services3")
     bad((q < 0).any(axis=1), "negative queue length")
     bad(np.diff(cnt, axis=0).min(axis=1) < 0, "event counters decreased")
+    # Counts follow from the queue moves, so a row whose move was cancelled
+    # keeps the flow identities; only the terminal row may record no event.
+    bad(np.diff(cnt, axis=0)[:-1].sum(axis=1) != 1, "non-terminal row does not record exactly one event")
 
     d_ep = np.diff(ep)
     d_al = np.diff(al, axis=0)
@@ -297,144 +299,112 @@ def check_conservation(traj: Trajectory, atol: float = 1e-9) -> ConservationRepo
     return ConservationReport(not v, tuple(v))
 
 
-@dataclass
+SCALES = ("raw", "fluid", "diffusion")
+
+
+@dataclass(frozen=True)
 class ScaledTrajectory:
-    """Fluid- or diffusion-scaled view of a trajectory.
+    """A trajectory seen at one scale; every column is derived on first access.
 
-    Fluid: time t -> t/r^2, amplitudes divided by r^2 (queues, allocations,
-    idleness, raw counts). Diffusion: time t -> t/r^2; queues, idleness, and
-    centered counting processes divided by r; allocations stay fluid-scaled;
-    netput is the centered free process whose reflection reproduces the
-    queues; workload is the scaled clearing-time vector.
+    raw: the unscaled record. fluid: time t -> t/r^2, amplitudes (queues,
+    idleness, workload) divided by r^2. diffusion: time t -> t/r^2;
+    amplitudes divided by r. Allocations are times and scale with time.
+    workload is the clearing-time vector of the scaled queues (None in the
+    raw view); netput, in the diffusion view only, is the centered free
+    process whose reflection reproduces the queues.
     """
 
+    traj: Trajectory
+    net: RNetwork
     kind: str
-    r: float
-    times: np.ndarray       # (n,)
-    queues: np.ndarray      # (n, 3)
-    alloc: np.ndarray       # (n, 3) fluid-scaled cumulative busy time
-    idle: np.ndarray        # (n, 2)
-    arrivals: np.ndarray    # (n, 2)
-    services: np.ndarray    # (n, 3)
-    workload: np.ndarray | None  # (n, 2); None for a fluid view built without rates
-    netput: np.ndarray | None    # (n, 3), diffusion only
-    activity: np.ndarray    # (n, 2)
+
+    def __post_init__(self) -> None:
+        if self.kind not in SCALES:
+            raise ValueError(f"scale {self.kind!r} is not one of {', '.join(SCALES)}")
+        if self.net.r != self.traj.r:
+            raise ValueError(f"network index r = {self.net.r!r} does not match trajectory r = {self.traj.r!r}")
+
+    @property
+    def r(self) -> float:
+        return self.traj.r
+
+    @property
+    def _divisors(self) -> tuple[float, float]:
+        """(time, amplitude) divisors of this view."""
+        r = self.traj.r
+        return {"raw": (1.0, 1.0), "fluid": (r * r, r * r), "diffusion": (r * r, r)}[self.kind]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.traj.epochs / self._divisors[0]
+
+    @cached_property
+    def queues(self) -> np.ndarray:
+        return self.traj.queues / self._divisors[1]
+
+    @cached_property
+    def alloc(self) -> np.ndarray:
+        return self.traj.alloc / self._divisors[0]
+
+    @cached_property
+    def idle(self) -> np.ndarray:
+        return self.traj.idle / self._divisors[1]
+
+    @cached_property
+    def workload(self) -> np.ndarray | None:
+        return None if self.kind == "raw" else WorkloadMatrix(self.net.mu).apply(self.queues)
+
+    @cached_property
+    def netput(self) -> np.ndarray | None:
+        """Centered arrival processes minus centered service processes (the
+        latter composed with the busy times), plus the drift offsets, so that
+        queues = netput plus the reflection terms and workload = netput
+        workload + idleness."""
+        if self.kind != "diffusion":
+            return None
+        traj, r, t = self.traj, self.traj.r, self.times
+        cnt, ep, al = traj.counts, traj.epochs, traj.alloc
+        lam1, lam2 = self.net.lam
+        mu1, mu2, mu3 = self.net.mu
+        b1, b2, b3 = self.net.b
+        a1 = (cnt[:, 0] - lam1 * ep) / r
+        a2 = (cnt[:, 1] - lam2 * ep) / r
+        s1 = (cnt[:, 2] - mu1 * al[:, 0]) / r
+        s2 = (cnt[:, 3] - mu2 * al[:, 1]) / r
+        s3 = (cnt[:, 4] - mu3 * al[:, 2]) / r
+        # Centering around the critical load point. The nominal coefficients
+        # are r(lam_i^r - mu_i^r * rho_i) with rho_i the limiting load
+        # fractions; because the drift offsets are realized exactly they
+        # reduce to mu_i^r b_i (and mu_3^r b_3 - mu_2^r b_2 for the
+        # downstream buffer), which avoids reconstructing the limits here.
+        return np.stack(
+            [a1 - s1 + (mu1 * b1) * t, a2 - s2 + (mu2 * b2) * t, s2 - s3 + (mu3 * b3 - mu2 * b2) * t],
+            axis=1,
+        )
+
+    @property
+    def activity(self) -> np.ndarray:
+        return self.traj.activity
 
 
-def fluid_scale(traj: Trajectory, net: RNetwork | None = None) -> ScaledTrajectory:
-    """Law-of-large-numbers scaling; r = 1 is the identity view.
-
-    The workload column needs the service rates and is filled only when the
-    network is supplied.
-    """
-    r2 = traj.r * traj.r
-    q = traj.queues / r2
-    return ScaledTrajectory(
-        kind="fluid",
-        r=traj.r,
-        times=traj.epochs / r2,
-        queues=q,
-        alloc=traj.alloc / r2,
-        idle=traj.idle / r2,
-        arrivals=traj.counts[:, :2] / r2,
-        services=traj.counts[:, 2:] / r2,
-        workload=WorkloadMatrix(net.mu).apply(q) if net is not None else None,
-        netput=None,
-        activity=traj.activity,
-    )
+def fluid_scale(traj: Trajectory, net: RNetwork) -> ScaledTrajectory:
+    """Law-of-large-numbers view; r = 1 is the identity view."""
+    return ScaledTrajectory(traj, net, "fluid")
 
 
 def diffusion_scale(traj: Trajectory, net: RNetwork) -> ScaledTrajectory:
-    """Central-limit scaling around the critical load point.
-
-    Centered arrival processes use the r-network arrival rates; centered
-    service processes are composed with the fluid allocations. The netput
-    combines them with the drift offsets so that queues = netput plus the
-    reflection terms, and workload = netput workload + idleness.
-    """
-    if net.r != traj.r:
-        raise ValueError(f"network index r = {net.r!r} does not match trajectory r = {traj.r!r}")
-    r = traj.r
-    r2 = r * r
-    times = traj.epochs / r2
-    q_hat = traj.queues / r
-    alloc_bar = traj.alloc / r2
-    idle_hat = traj.idle / r
-    lam1, lam2 = net.lam
-    mu1, mu2, mu3 = net.mu
-
-    a_hat = np.stack(
-        [
-            (traj.counts[:, 0] - lam1 * traj.epochs) / r,
-            (traj.counts[:, 1] - lam2 * traj.epochs) / r,
-        ],
-        axis=1,
-    )
-    s_hat = np.stack(
-        [
-            (traj.counts[:, 2] - mu1 * traj.alloc[:, 0]) / r,
-            (traj.counts[:, 3] - mu2 * traj.alloc[:, 1]) / r,
-            (traj.counts[:, 4] - mu3 * traj.alloc[:, 2]) / r,
-        ],
-        axis=1,
-    )
-    # Centering around the critical load point. The nominal coefficients are
-    # r(lam_i^r - mu_i^r * rho_i) with rho_i the limiting load fractions;
-    # because the drift offsets are realized exactly they reduce to
-    # mu_i^r b_i (and mu_3^r b_3 - mu_2^r b_2 for the downstream buffer),
-    # which avoids reconstructing the limits here.
-    b1, b2, b3 = net.b
-    netput = np.empty((len(traj), 3))
-    netput[:, 0] = a_hat[:, 0] - s_hat[:, 0] + (mu1 * b1) * times
-    netput[:, 1] = a_hat[:, 1] - s_hat[:, 1] + (mu2 * b2) * times
-    netput[:, 2] = s_hat[:, 1] - s_hat[:, 2] + (mu3 * b3 - mu2 * b2) * times
-
-    w_hat = WorkloadMatrix(net.mu).apply(q_hat)
-    return ScaledTrajectory(
-        kind="diffusion",
-        r=r,
-        times=times,
-        queues=q_hat,
-        alloc=alloc_bar,
-        idle=idle_hat,
-        arrivals=a_hat,
-        services=s_hat,
-        workload=w_hat,
-        netput=netput,
-        activity=traj.activity,
-    )
+    """Central-limit view around the critical load point."""
+    return ScaledTrajectory(traj, net, "diffusion")
 
 
 _ACT1_NAMES = {IDLE: "idle", BUFFER1: "serve1", BUFFER2: "serve2"}
 _ACT2_NAMES = {IDLE: "idle", BUFFER3: "serve3"}
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Write the event-epoch record as CSV (one row per epoch)."""
-    fh.write("epoch,Q1,Q2,Q3,T1,T2,T3,I1,I2,server1_activity,server2_activity\n")
-    for k in range(len(traj)):
-        fh.write(
-            "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
-            % (
-                traj.epochs[k],
-                traj.queues[k, 0],
-                traj.queues[k, 1],
-                traj.queues[k, 2],
-                traj.alloc[k, 0],
-                traj.alloc[k, 1],
-                traj.alloc[k, 2],
-                traj.idle[k, 0],
-                traj.idle[k, 1],
-                _ACT1_NAMES[int(traj.activity[k, 0])],
-                _ACT2_NAMES[int(traj.activity[k, 1])],
-            )
-        )
-
-
 def write_scaled_csv(scaled: ScaledTrajectory, fh) -> None:
-    """Write a scaled trajectory as CSV. Workload and netput columns appear
-    only when the view carries them."""
-    cols = ["time", "Q1", "Q2", "Q3", "T1", "T2", "T3", "I1", "I2"]
+    """Write a view as CSV, one row per epoch. Workload and netput columns
+    appear only when the view carries them."""
+    cols = ["epoch" if scaled.kind == "raw" else "time", "Q1", "Q2", "Q3", "T1", "T2", "T3", "I1", "I2"]
     blocks = [scaled.times[:, None], scaled.queues, scaled.alloc, scaled.idle]
     if scaled.workload is not None:
         cols += ["W1", "W2"]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crisscross.cli import main
+from crisscross.params import Config, ConfigError, parse_config
 
 GOOD = {
     "lambda": [1.0, 1.0],
@@ -179,8 +183,52 @@ def test_unusable_r_exits_2(config_path, capsys):
     assert payload["error"] == "arguments"
 
 
+def test_overflowing_drift_offset_exits_2(tmp_path, capsys):
+    """b1 mu1 overflows to an infinite arrival rate, which the simulator
+    cannot sample."""
+    path = tmp_path / "huge_b.json"
+    path.write_text(json.dumps(dict(GOOD, b=[1e308, 0.0, 0.0])), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--r", "5"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
+
+
 @pytest.mark.parametrize("dt,horizon", [("1", "0.4"), ("0.1", "inf"), ("inf", "1")])
 def test_bcp_grid_without_a_finite_step_count_exits_2(config_path, capsys, dt, horizon):
     assert main(["bcp", "--config", config_path, "--dt", dt, "--horizon", horizon, "--paths", "10"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "arguments"
+
+
+# Hypothesis rarely draws floats near the ends of the range on its own.
+_EDGES = st.sampled_from([5e-324, 1e-300, 1e300, 1e308, -1e308, sys.float_info.max, 2**1024])
+_NUMBERS = _EDGES | st.floats() | st.integers()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+_KEYS = sorted(set(GOOD) | {"b", "unknown"})
+
+
+@st.composite
+def _configs(draw):
+    """GOOD with one or two keys set to arbitrary JSON, and maybe one removed."""
+    raw = dict(GOOD)
+    for key in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=2, unique=True)):
+        raw[key] = draw(_NUMBERS | st.lists(_NUMBERS, min_size=1, max_size=3) | _JSON)
+    for key in draw(st.sets(st.sampled_from(_KEYS), max_size=1)):
+        raw.pop(key, None)
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=_configs())
+@example(raw=dict(GOOD, ell0=1e308))  # a finite ell0 whose threshold size overflows
+def test_any_config_parses_or_is_a_config_error_and_main_never_raises(tmp_path_factory, raw):
+    try:
+        assert isinstance(parse_config(raw), Config)
+    except ConfigError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["thresholds", "--config", str(path), "--out", str(path.with_suffix(".out"))]) in (0, 2)

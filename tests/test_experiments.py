@@ -16,31 +16,28 @@ from crisscross.experiments import (
     replication_seed,
     run_diagnostics,
 )
-from crisscross.params import NetworkLimits, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.simulate import ScaledTrajectory, diffusion_scale, fluid_scale, simulate
+from crisscross.params import NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
+from crisscross.simulate import ScaledTrajectory, Trajectory, diffusion_scale, fluid_scale, simulate
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
 
 
-def _constant_queue_path(times, queues, kind="diffusion", r=1.0):
+_UNIT_NET = RNetwork(
+    r=1.0, lam=LIMITS.lam, mu=LIMITS.mu, b=(0.0, 0.0, 0.0), ell0=1.2, c=3.0, threshold_low=0, threshold_high=2
+)
+
+
+def _constant_queue_path(times, queues):
+    """Raw view of a hand-made record at r = 1."""
     times = np.asarray(times, dtype=float)
-    queues = np.asarray(queues, dtype=float)
-    n = times.shape[0]
-    zeros2 = np.zeros((n, 2))
-    zeros3 = np.zeros((n, 3))
-    return ScaledTrajectory(
-        kind=kind,
-        r=r,
-        times=times,
-        queues=queues,
-        alloc=zeros3.copy(),
-        idle=zeros2.copy(),
-        arrivals=zeros2.copy(),
-        services=zeros3.copy(),
-        workload=zeros2.copy(),
-        netput=zeros3.copy(),
-        activity=np.zeros((n, 2), dtype=np.int8),
+    traj = Trajectory(
+        r=1.0,
+        horizon=float(times[-1]),
+        epochs=times,
+        queues=np.asarray(queues, dtype=np.int64),
+        activity=np.zeros((times.shape[0], 2), dtype=np.int8),
     )
+    return ScaledTrajectory(traj, _UNIT_NET, "raw")
 
 
 def test_discounted_cost_of_a_unit_pulse():
@@ -76,11 +73,9 @@ def test_replication_streams_are_stable_and_distinct():
     a = replication_seed(0, 5.0, 3)
     b = replication_seed(0, 5.0, 3)
     c = replication_seed(0, 5.0, 4)
-    d = replication_seed(0, 5.0, 3, policy_salt=99)
     gen = lambda ss: np.random.Generator(np.random.PCG64(ss)).random()
     assert gen(a) == gen(b)
     assert gen(a) != gen(c)
-    assert gen(a) != gen(d)
 
 
 def test_estimate_cost_shapes_and_determinism():

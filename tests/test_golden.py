@@ -1,7 +1,9 @@
 """Golden outputs: the six subcommands of acceptance criterion 10, and the
 raw and fluid views of `simulate`, must reproduce stored bytes exactly, not
 only agree with a second run. The raw view prints the busy times T1-T3 and
-idleness I1-I2 unscaled.
+idleness I1-I2 unscaled. The drifted runs use asymmetric rates and nonzero
+drift offsets b, so the netput columns X1-X3 and the diagnostics are pinned
+with every drift term in play.
 
 The files under tests/golden/ were captured with numpy 2.4.6 (PCG64 streams,
 float formatting via %.17g). A refactor that keeps the random streams must
@@ -33,6 +35,7 @@ CONFIG = {
     "replications": 2,
     "horizon": 0.3,
 }
+DRIFTED = dict(CONFIG, **{"lambda": [0.8, 1.8], "mu": [2.0, 3.0, 1.8], "h": [1.2, 1.0, 0.6], "b": [0.5, -0.25, 0.75]})
 
 COMMANDS = {
     "simulate": ["simulate", "--r", "5", "--horizon-scaled", "0.2", "--scale", "diffusion"],
@@ -44,14 +47,19 @@ COMMANDS = {
     "ld-check": ["ld-check", "--t-grid", "5,10", "--samples", "2000"],
     "diagnostics": ["diagnostics", "--r", "5", "--horizon-scaled", "0.3"],
 }
+DRIFTED_COMMANDS = {
+    "simulate-drifted": COMMANDS["simulate"],
+    "diagnostics-drifted": COMMANDS["diagnostics"],
+}
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
+@pytest.mark.parametrize("name", list(COMMANDS) + list(DRIFTED_COMMANDS))
 def test_cli_output_matches_the_golden_file(tmp_path, name):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    config.write_text(json.dumps(DRIFTED if name in DRIFTED_COMMANDS else CONFIG), encoding="utf-8")
+    argv = {**COMMANDS, **DRIFTED_COMMANDS}[name]
     out = tmp_path / f"{name}.out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert main(COMMANDS[name] + ["--config", str(config), "--out", str(out)]) == 0
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()

@@ -8,12 +8,12 @@ import pytest
 from crisscross.params import NetworkLimits, RNetwork, make_r_network
 from crisscross.policies import BUFFER1, BUFFER2, BUFFER3
 from crisscross.simulate import (
+    ScaledTrajectory,
     check_conservation,
     diffusion_scale,
     fluid_scale,
     simulate,
     write_scaled_csv,
-    write_trajectory_csv,
 )
 from crisscross.workload import WorkloadMatrix
 
@@ -134,14 +134,22 @@ def test_derived_counts_and_busy_times_match_row_by_row_bookkeeping(limits, poli
     assert traj.alloc.tobytes() == np.array(busy_rows).tobytes()
 
 
-def test_conservation_flags_a_double_arrival():
+@pytest.mark.parametrize(
+    "move,violation",
+    [(1, "flow:"), (-1, "non-terminal row does not record exactly one event")],
+    ids=["double-arrival", "cancelled-service"],
+)
+def test_conservation_flags_a_shifted_buffer1_queue(move, violation):
+    """Shifting buffer 1 up by one from an arrival-1 row on makes that row a
+    double arrival, which breaks the flow identities; from a service-1 row
+    on it cancels the service, which they cannot see."""
     net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 200.0, 1)
-    arrivals = np.flatnonzero(np.diff(traj.queues[:, 0]) == 1) + 1
-    k = int(arrivals[arrivals >= len(traj) // 2][0])
+    rows = np.flatnonzero(np.diff(traj.queues[:, 0]) == move) + 1
+    k = int(rows[rows >= len(traj) // 2][0])
     traj.queues[k:, 0] += 1
     report = check_conservation(traj)
-    assert any(v.startswith("flow:") for v in report.violations), report.violations
+    assert any(v.startswith(violation) for v in report.violations), report.violations
 
 
 def test_conservation_flags_tampered_idleness():
@@ -180,10 +188,11 @@ def test_fluid_scaling_at_r_equal_one_is_the_identity():
 def test_fluid_scaling_divides_amplitudes_by_r_squared():
     net = make_r_network(LIMITS, 4.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 320.0, 2)
-    scaled = fluid_scale(traj)
+    scaled = fluid_scale(traj, net)
     np.testing.assert_allclose(scaled.times, traj.epochs / 16.0)
     np.testing.assert_allclose(scaled.queues, traj.queues / 16.0)
-    assert scaled.workload is None and scaled.netput is None
+    np.testing.assert_allclose(scaled.workload, WorkloadMatrix(net.mu).apply(traj.queues / 16.0))
+    assert scaled.netput is None
 
 
 def test_diffusion_scaling_rejects_a_mismatched_network():
@@ -192,6 +201,8 @@ def test_diffusion_scaling_rejects_a_mismatched_network():
     traj = simulate(net, "threshold", 50.0, 0)
     with pytest.raises(ValueError):
         diffusion_scale(traj, other)
+    with pytest.raises(ValueError):
+        ScaledTrajectory(traj, net, "Fluid")
 
 
 def test_diffusion_workload_is_the_scaled_clearing_time():
@@ -246,9 +257,9 @@ def test_csv_round_trip_shape():
     net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 60.0, 2)
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
+    write_scaled_csv(ScaledTrajectory(traj, net, "raw"), buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0].startswith("epoch,Q1,Q2,Q3,T1")
+    assert lines[0] == "epoch,Q1,Q2,Q3,T1,T2,T3,I1,I2,server1_activity,server2_activity"
     assert len(lines) == len(traj) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
@@ -265,6 +276,6 @@ def test_scaled_csv_includes_workload_and_netput_columns():
         assert col in header
 
     buf = io.StringIO()
-    write_scaled_csv(fluid_scale(traj), buf)
+    write_scaled_csv(fluid_scale(traj, net), buf)
     header = buf.getvalue().split("\n", 1)[0]
-    assert "W1" not in header and "X1" not in header
+    assert "W1" in header and "X1" not in header
