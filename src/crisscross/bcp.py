@@ -36,6 +36,9 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 # draws, so changing it changes every estimate.
 _BATCH_SIZE = 128
 
+# Float tolerance of every residual in admissibility_audit.
+_AUDIT_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LimitBm:
@@ -306,7 +309,7 @@ class AdmissibilityReport:
     workload_floor: float        # most negative workload value
 
 
-def admissibility_audit(path: RbmPath, limits: NetworkLimits, atol: float = 1e-9) -> AdmissibilityReport:
+def admissibility_audit(path: RbmPath, limits: NetworkLimits) -> AdmissibilityReport:
     """Rebuild the allocation-shift processes behind a path and check they
     form an admissible control whose queues match the cheapest configuration.
     """
@@ -339,12 +342,12 @@ def admissibility_audit(path: RbmPath, limits: NetworkLimits, atol: float = 1e-9
         workload_floor=float(w.min()),
     )
     ok = (
-        report.queue_residual <= atol
-        and report.queue_floor >= -atol
-        and report.idle_residual <= atol
-        and report.pushing_start <= atol
-        and report.pushing_monotone >= -atol
-        and report.workload_residual <= atol
-        and report.workload_floor >= -atol
+        report.queue_residual <= _AUDIT_ATOL
+        and report.queue_floor >= -_AUDIT_ATOL
+        and report.idle_residual <= _AUDIT_ATOL
+        and report.pushing_start <= _AUDIT_ATOL
+        and report.pushing_monotone >= -_AUDIT_ATOL
+        and report.workload_residual <= _AUDIT_ATOL
+        and report.workload_floor >= -_AUDIT_ATOL
     )
     return replace(report, ok=ok)

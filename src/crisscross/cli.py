@@ -2,12 +2,14 @@
 
 Every subcommand reads the same JSON config (model limits plus run shape),
 takes an optional --seed override, and writes deterministic text to --out or
-stdout. Config problems print a single JSON line on stderr and exit with
-status 2; success exits 0.
+stdout. Config and argument problems, a size too large to allocate among
+them, print a single JSON line on stderr and exit with status 2; success
+exits 0.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -15,17 +17,10 @@ import sys
 import numpy as np
 
 from .bcp import estimate_j_star
-from .experiments import (
-    _BCP_TAG,
-    SweepConfig,
-    convergence_sweep,
-    ld_check,
-    replication_seed,
-    run_diagnostics,
-)
+from .experiments import convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
 from .params import Config, ConfigError, compute_threshold_constants, load_config, make_r_network
 from .policies import POLICY_NAMES
-from .simulate import SCALES, ScaledTrajectory, diffusion_scale, simulate, write_scaled_csv
+from .simulate import SCALES, ScaledTrajectory, diffusion_scale, write_scaled_csv
 
 __all__ = ["main"]
 
@@ -96,20 +91,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_simulate(cfg: Config, args, fh) -> None:
     net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
     horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
-    traj = simulate(net, args.policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, args.rep))
+    traj = replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
     write_scaled_csv(ScaledTrajectory(traj, net, args.scale), fh)
 
 
-def _cmd_bcp(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_bcp(cfg: Config, args, fh) -> None:
     ref = estimate_j_star(
         cfg.limits,
         dt=args.dt,
         horizon=args.horizon,
         n_paths=args.paths,
-        seed=np.random.SeedSequence(entropy=(seed, _BCP_TAG)),
+        seed=reference_seed(cfg.seed),
         bridge_minima=not args.no_bridge,
     )
     m1, m2 = ref.marginals
@@ -121,21 +116,9 @@ def _cmd_bcp(cfg: Config, seed: int, args, fh) -> None:
         )
 
 
-def _cmd_converge(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_converge(cfg: Config, args, fh) -> None:
     policies = tuple(name.strip() for name in args.policies.split(",") if name.strip())
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; choose from {', '.join(POLICY_NAMES)}")
-    sweep = SweepConfig(
-        ell0=cfg.ell0,
-        c=cfg.c,
-        horizon_scaled=cfg.horizon,
-        n_reps=cfg.replications,
-        seed=seed,
-        bcp_dt=args.bcp_dt,
-        bcp_paths=args.bcp_paths,
-    )
-    result = convergence_sweep(cfg.limits, policies, cfg.r_list, sweep)
+    result = convergence_sweep(cfg, policies, args.bcp_dt, args.bcp_paths)
     j = result.j_star
     fh.write(
         "# j_star mean=%s stderr=%s n_paths=%d dt=%s horizon=%s\n"
@@ -158,7 +141,7 @@ def _cmd_converge(cfg: Config, seed: int, args, fh) -> None:
         )
 
 
-def _cmd_thresholds(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_thresholds(cfg: Config, args, fh) -> None:
     constants = compute_threshold_constants(cfg.limits)
     fh.write(
         "# constants theta3=%s rho2=%s c=%s K=%s d=%s theta=%s gamma4=%s ell_bar=%s kappa=%s\n"
@@ -183,20 +166,20 @@ def _cmd_thresholds(cfg: Config, seed: int, args, fh) -> None:
         fh.write("%s,%d,%d\n" % (_fmt(r), net.threshold_low, net.threshold_high))
 
 
-def _cmd_ld_check(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_ld_check(cfg: Config, args, fh) -> None:
     rate = cfg.limits.lam[0] if args.rate is None else args.rate
     t_grid = tuple(float(s) for s in args.t_grid.split(",") if s.strip())
-    rows = ld_check(rate, args.eps, t_grid, args.samples, seed)
+    rows = ld_check(rate, args.eps, t_grid, args.samples, cfg.seed)
     fh.write("t,empirical,bound,within\n")
     for row in rows:
         fh.write("%s,%s,%s,%s\n" % (_fmt(row.t), _fmt(row.empirical), _fmt(row.bound), _fmt(row.within)))
 
 
-def _cmd_diagnostics(cfg: Config, seed: int, args, fh) -> None:
+def _cmd_diagnostics(cfg: Config, args, fh) -> None:
     constants = compute_threshold_constants(cfg.limits)
     net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
     horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
-    traj = simulate(net, args.policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, args.rep))
+    traj = replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
     report = run_diagnostics(diffusion_scale(traj, net), net, constants, d=args.d, t_end=args.t_end)
     fh.write("key,value\n")
     for key in (
@@ -228,10 +211,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = cfg.seed if args.seed is None else args.seed
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         buf = io.StringIO()
-        _COMMANDS[args.command](cfg, seed, args, buf)
-    except (ConfigError, ValueError) as exc:
+        _COMMANDS[args.command](cfg, args, buf)
+    except (ConfigError, ValueError, MemoryError) as exc:
         kind = "config" if isinstance(exc, ConfigError) else "arguments"
         sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
         return 2

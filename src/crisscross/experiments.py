@@ -13,14 +13,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bcp import CostEstimate, estimate_j_star
-from .params import NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
+from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
 from .policies import PolicyFn, make_policy
-from .simulate import ScaledTrajectory, diffusion_scale, simulate
+from .simulate import ScaledTrajectory, Trajectory, diffusion_scale, simulate
 
 __all__ = [
     "PathCost",
     "DiscountedCostRun",
-    "SweepConfig",
     "SweepResult",
     "DiagnosticsReport",
     "LdCheckRow",
@@ -32,6 +31,8 @@ __all__ = [
     "ld_check",
     "fluid_allocation_gap",
     "replication_seed",
+    "reference_seed",
+    "replicate",
 ]
 
 _SIM_TAG = 1
@@ -74,6 +75,18 @@ def replication_seed(seed: int, r: float, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, _SIM_TAG, _float_key(r), rep, 0))
 
 
+def reference_seed(seed: int) -> np.random.SeedSequence:
+    """Seed of the Brownian reference run, a family apart from every
+    replication's, so the reference never shifts a replication."""
+    return np.random.SeedSequence(entropy=(seed, _BCP_TAG))
+
+
+def replicate(net: RNetwork, policy: str | PolicyFn, horizon_scaled: float, seed: int, rep: int) -> Trajectory:
+    """Replication rep of net under policy: the simulator run over the
+    unscaled horizon r^2 * horizon_scaled on the streams of replication_seed."""
+    return simulate(net, policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, rep))
+
+
 @dataclass(frozen=True)
 class DiscountedCostRun:
     """Replicated discounted-cost estimate for one (network, policy) pair."""
@@ -89,15 +102,9 @@ class DiscountedCostRun:
     threshold_high: int
 
 
-def _policy_name(policy: str | PolicyFn) -> str:
-    if isinstance(policy, str):
-        return policy
-    return getattr(policy, "__name__", "custom")
-
-
 def estimate_cost(
     net: RNetwork,
-    policy: str | PolicyFn,
+    policy: str,
     gamma: float,
     h: Sequence[float],
     horizon_scaled: float,
@@ -108,20 +115,18 @@ def estimate_cost(
 
     Replication k uses substreams derived from (seed, r, k) alone, so
     different policies see identical arrival streams (common random
-    numbers). The unscaled simulation horizon is r^2 * horizon_scaled.
+    numbers); see replicate.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
     if not (horizon_scaled > 0.0):
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
-    name = _policy_name(policy)
-    policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
-    horizon = net.r * net.r * horizon_scaled
+    policy_fn = make_policy(policy, net)
 
     values = np.empty(n_reps)
     tails = np.empty(n_reps)
     for rep in range(n_reps):
-        traj = simulate(net, policy_fn, horizon, replication_seed(seed, net.r, rep))
+        traj = replicate(net, policy_fn, horizon_scaled, seed, rep)
         cost = discounted_cost(diffusion_scale(traj, net), h, gamma)
         values[rep] = cost.value
         tails[rep] = cost.tail
@@ -129,7 +134,7 @@ def estimate_cost(
     stderr = float(values.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else None
     return DiscountedCostRun(
         r=net.r,
-        policy=name,
+        policy=policy,
         mean=mean,
         stderr=stderr,
         n_reps=n_reps,
@@ -138,19 +143,6 @@ def estimate_cost(
         threshold_low=net.threshold_low,
         threshold_high=net.threshold_high,
     )
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Shape of a convergence sweep (thresholds, replication count, reference run)."""
-
-    ell0: float = 1.2
-    c: float = 3.0
-    horizon_scaled: float = 15.0
-    n_reps: int = 200
-    seed: int = 0
-    bcp_dt: float = 1e-3
-    bcp_paths: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,19 +155,17 @@ class SweepResult:
         return (run.mean - self.j_star.mean) / self.j_star.mean
 
 
-def convergence_sweep(
-    limits: NetworkLimits,
-    policies: Sequence[str | PolicyFn],
-    r_list: Sequence[float],
-    config: SweepConfig = SweepConfig(),
-) -> SweepResult:
-    """Estimate the scaled discounted cost across the r-family and policies,
-    next to the Brownian reference value.
+def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bcp_paths: int) -> SweepResult:
+    """Estimate the scaled discounted cost across config.r_list and the
+    named policies, next to the Brownian reference value on a bcp_dt grid
+    over bcp_paths paths.
 
     Needs at least two r values (a single point cannot show a trend). Warns
     when the requested log-coefficient sits below the guaranteed regime.
+    Every input is checked before the first replication is simulated.
     """
-    if len(r_list) < 2:
+    limits = config.limits
+    if len(config.r_list) < 2:
         raise ValueError("r_list must contain at least two values to show a trend")
     if not policies:
         raise ValueError("need at least one policy")
@@ -189,29 +179,18 @@ def convergence_sweep(
             f"ell0 = {config.ell0} below the guaranteed floor {constants.ell_bar:.3g}; "
             "cost bounds are not covered by the theory at this size"
         )
-
-    runs = []
-    for r in r_list:
-        net = make_r_network(limits, r, config.ell0, config.c)
-        for policy in policies:
-            runs.append(
-                estimate_cost(
-                    net,
-                    policy,
-                    gamma=limits.gamma,
-                    h=limits.h,
-                    horizon_scaled=config.horizon_scaled,
-                    n_reps=config.n_reps,
-                    seed=config.seed,
-                )
-            )
-    j_star = estimate_j_star(
-        limits,
-        dt=config.bcp_dt,
-        n_paths=config.bcp_paths,
-        seed=np.random.SeedSequence(entropy=(config.seed, _BCP_TAG)),
+    nets = [make_r_network(limits, r, config.ell0, config.c) for r in config.r_list]
+    for policy in policies:
+        make_policy(policy, nets[0])  # rejects an unknown name
+    # The reference draws from its own seed family, so running it first
+    # changes no replication.
+    j_star = estimate_j_star(limits, dt=bcp_dt, n_paths=bcp_paths, seed=reference_seed(config.seed))
+    runs = tuple(
+        estimate_cost(net, policy, limits.gamma, limits.h, config.horizon, config.replications, config.seed)
+        for net in nets
+        for policy in policies
     )
-    return SweepResult(runs=tuple(runs), j_star=j_star)
+    return SweepResult(runs=runs, j_star=j_star)
 
 
 @dataclass(frozen=True)
@@ -298,24 +277,15 @@ def run_diagnostics(
     )
 
 
-def collapse_bound(
-    net: RNetwork,
-    constants: ThresholdConstants,
-    t: float,
-    theta1: float = 1.0,
-    theta2: float = 1.0,
-) -> tuple[float, bool]:
+def collapse_bound(net: RNetwork, constants: ThresholdConstants, t: float) -> tuple[float, bool]:
     """Theoretical ceiling on the collapse-event probability, and whether it
     says anything (bounds >= 1 are vacuous at desk scale).
 
-    The leading constants are existential; they are reported with unit
-    placeholders, so only the explicit polynomial and power-law parts carry
-    information.
+    The leading constants are existential; they are set to 1, so only the
+    explicit polynomial and power-law parts carry information.
     """
     r = net.r
-    value = theta1 * (1.0 + r**4 * t * t) * (
-        math.exp(-theta2 * r * r * t) + r ** (-constants.theta3 * (net.c - 1.0) * net.ell0)
-    )
+    value = (1.0 + r**4 * t * t) * (math.exp(-r * r * t) + r ** (-constants.theta3 * (net.c - 1.0) * net.ell0))
     return value, value < 1.0
 
 

@@ -338,8 +338,8 @@ def parse_config(raw: dict) -> Config:
         kwargs["r_list"] = tuple(_as_number(x, "r_list") for x in rl)
     if "seed" in raw:
         seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"key 'seed' must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"key 'seed' must be a non-negative integer, got {seed!r}")
         kwargs["seed"] = seed
     if "replications" in raw:
         reps = raw["replications"]

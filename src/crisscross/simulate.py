@@ -34,6 +34,8 @@ __all__ = [
 
 SeedLike = Union[int, np.random.SeedSequence]
 
+# Float tolerance of the clock identities in check_conservation.
+_CLOCK_ATOL = 1e-9
 
 # The five queue moves an event can make, in counting-process order:
 # arrival 1, arrival 2, service at buffer 1, 2 (routed to 3) and 3.
@@ -238,12 +240,12 @@ class ConservationReport:
         return self.violations[0] if self.violations else None
 
 
-def check_conservation(traj: Trajectory, atol: float = 1e-9) -> ConservationReport:
+def check_conservation(traj: Trajectory) -> ConservationReport:
     """Audit a trajectory against the flow and clock identities.
 
     Integer identities (queues = arrivals - services, routed flow) must hold
     exactly; clock identities (allocation + idleness = elapsed time per
-    server, 1-Lipschitz allocations, nondecreasing idleness) to atol. Also
+    server, 1-Lipschitz allocations, nondecreasing idleness) to 1e-9. Also
     enforces that recorded busy time accrues only under the recorded
     activity and that server 2 idles exactly when its buffer is empty.
     """
@@ -273,22 +275,22 @@ def check_conservation(traj: Trajectory, atol: float = 1e-9) -> ConservationRepo
 
     d_ep = np.diff(ep)
     d_al = np.diff(al, axis=0)
-    bad((d_al < -atol).any(axis=1), "allocation decreased")
-    bad(d_al[:, 0] + d_al[:, 1] > d_ep + atol, "server-1 allocations exceed elapsed time")
-    bad(d_al[:, 2] > d_ep + atol, "server-2 allocation exceeds elapsed time")
+    bad((d_al < -_CLOCK_ATOL).any(axis=1), "allocation decreased")
+    bad(d_al[:, 0] + d_al[:, 1] > d_ep + _CLOCK_ATOL, "server-1 allocations exceed elapsed time")
+    bad(d_al[:, 2] > d_ep + _CLOCK_ATOL, "server-2 allocation exceeds elapsed time")
 
     # Busy time accrues exactly under the recorded activity.
     on1 = (act[:-1, 0] == BUFFER1).astype(float)
     on2 = (act[:-1, 0] == BUFFER2).astype(float)
     on3 = (act[:-1, 1] == BUFFER3).astype(float)
-    bad(np.abs(d_al[:, 0] - on1 * d_ep) > atol, "buffer-1 busy time disagrees with activity")
-    bad(np.abs(d_al[:, 1] - on2 * d_ep) > atol, "buffer-2 busy time disagrees with activity")
-    bad(np.abs(d_al[:, 2] - on3 * d_ep) > atol, "buffer-3 busy time disagrees with activity")
+    bad(np.abs(d_al[:, 0] - on1 * d_ep) > _CLOCK_ATOL, "buffer-1 busy time disagrees with activity")
+    bad(np.abs(d_al[:, 1] - on2 * d_ep) > _CLOCK_ATOL, "buffer-2 busy time disagrees with activity")
+    bad(np.abs(d_al[:, 2] - on3 * d_ep) > _CLOCK_ATOL, "buffer-3 busy time disagrees with activity")
 
-    bad(np.abs(idl[:, 0] - (ep - al[:, 0] - al[:, 1])) > atol, "server-1 idleness != t - busy time")
-    bad(np.abs(idl[:, 1] - (ep - al[:, 2])) > atol, "server-2 idleness != t - busy time")
-    bad((idl < -atol).any(axis=1), "negative idleness")
-    bad((np.diff(idl, axis=0) < -atol).any(axis=1), "idleness decreased")
+    bad(np.abs(idl[:, 0] - (ep - al[:, 0] - al[:, 1])) > _CLOCK_ATOL, "server-1 idleness != t - busy time")
+    bad(np.abs(idl[:, 1] - (ep - al[:, 2])) > _CLOCK_ATOL, "server-2 idleness != t - busy time")
+    bad((idl < -_CLOCK_ATOL).any(axis=1), "negative idleness")
+    bad((np.diff(idl, axis=0) < -_CLOCK_ATOL).any(axis=1), "idleness decreased")
 
     bad((act[:, 1] == BUFFER3) != (q[:, 2] > 0), "server 2 must serve exactly when its buffer is nonempty")
     valid1 = np.isin(act[:, 0], (IDLE, BUFFER1, BUFFER2))

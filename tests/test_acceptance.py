@@ -19,14 +19,8 @@ import pytest
 
 from crisscross.bcp import estimate_j_star
 from crisscross.cli import main
-from crisscross.experiments import (
-    SweepConfig,
-    convergence_sweep,
-    ld_check,
-    replication_seed,
-    run_diagnostics,
-)
-from crisscross.params import NetworkLimits, compute_threshold_constants, make_r_network
+from crisscross.experiments import convergence_sweep, ld_check, replication_seed, run_diagnostics
+from crisscross.params import Config, NetworkLimits, compute_threshold_constants, make_r_network
 from crisscross.policies import indicator_form_audit
 from crisscross.simulate import check_conservation, diffusion_scale, simulate
 from crisscross.workload import (
@@ -48,19 +42,11 @@ POLICIES = ("threshold", "priority1", "priority2")
 @pytest.fixture(scope="session")
 def sweep():
     """Discounted-cost sweep shared by the convergence and baseline criteria."""
-    cfg = SweepConfig(
-        ell0=1.2,
-        c=3.0,
-        horizon_scaled=15.0,
-        n_reps=200,
-        seed=0,
-        bcp_dt=1e-3,
-        bcp_paths=100_000,
-    )
+    cfg = Config(limits=LIMITS, ell0=1.2, c=3.0, r_list=R_LIST, seed=0, replications=200, horizon=15.0)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = convergence_sweep(LIMITS, POLICIES, R_LIST, cfg)
+        result = convergence_sweep(cfg, POLICIES, bcp_dt=1e-3, bcp_paths=100_000)
     print("\n[setup] cost sweep: %.0fs" % (time.perf_counter() - t0))
     return result
 
@@ -146,6 +132,7 @@ def test_criterion_02_reflection_map_properties():
     print(f"[PASS] criterion 2: floor {worst_floor:.1e}, Lipschitz ratio {worst_ratio:.3f}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_reflected_workload_marginals():
     t0 = time.perf_counter()
     m1, m2 = estimate_j_star(LIMITS, dt=1e-3, n_paths=100_000, seed=3).marginals
@@ -206,6 +193,7 @@ def test_criterion_05_threshold_rule_equals_its_indicator_form():
     print(f"[PASS] criterion 5: {states} states audited on 3 networks, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_threshold_cost_converges_to_the_reference(sweep):
     js = sweep.j_star
     runs = {run.r: run for run in sweep.runs if run.policy == "threshold"}
@@ -222,6 +210,7 @@ def test_criterion_06_threshold_cost_converges_to_the_reference(sweep):
     print(f"[PASS] criterion 6: gaps {detail}; reference {js.mean:.4f} +- {js.stderr:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_priority_baselines_are_not_cheaper(sweep):
     js = sweep.j_star
     threshold = next(r for r in sweep.runs if r.policy == "threshold" and r.r == R_LIST[-1])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crisscross.experiments
 from crisscross.cli import main
 from crisscross.params import Config, ConfigError, parse_config
 
@@ -143,6 +144,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("r_list", ["a"]),
         ("horizon", "x"),
         ("ell0", "abc"),
+        ("seed", -1),
     ],
 )
 def test_malformed_numeric_field_is_a_config_error(tmp_path, capsys, key, value):
@@ -175,6 +177,39 @@ def test_unknown_policy_exits_2(config_path, capsys):
     assert main(["converge", "--config", config_path, "--policies", "fifo"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert "fifo" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "overrides,args",
+    [
+        ({}, ["--bcp-paths", "0"]),
+        ({}, ["--bcp-dt", "0"]),
+        ({"r_list": [3, 5, 1]}, []),
+        ({}, ["--policies", "threshold,fifo"]),
+    ],
+    ids=["no-paths", "zero-dt", "unusable-r", "unknown-policy"],
+)
+def test_converge_rejects_bad_input_before_simulating(tmp_path, capsys, monkeypatch, overrides, args):
+    calls = []
+    real = crisscross.experiments.simulate
+    monkeypatch.setattr(crisscross.experiments, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(GOOD, **overrides)), encoding="utf-8")
+    argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [("bcp", ["--dt", "1e-15", "--paths", "1"]), ("ld-check", ["--samples", str(10**16)])],
+)
+def test_a_size_too_large_to_allocate_exits_2(config_path, capsys, command, args):
+    """Each request is over 70 PiB, past the address space, so numpy
+    refuses it before touching memory."""
+    assert main([command, "--config", config_path, *args]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
 
 
 def test_unusable_r_exits_2(config_path, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from crisscross.experiments import (
-    SweepConfig,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
@@ -16,7 +15,7 @@ from crisscross.experiments import (
     replication_seed,
     run_diagnostics,
 )
-from crisscross.params import NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
+from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
 from crisscross.simulate import ScaledTrajectory, Trajectory, diffusion_scale, fluid_scale, simulate
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
@@ -104,28 +103,21 @@ def test_estimate_cost_argument_checks():
         estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.0, 2, seed=0)
 
 
-def _tiny_sweep_config():
-    return SweepConfig(
-        ell0=1.2,
-        c=3.0,
-        horizon_scaled=0.3,
-        n_reps=2,
-        seed=0,
-        bcp_dt=0.05,
-        bcp_paths=200,
-    )
+def _tiny_sweep(policies, r_list):
+    cfg = Config(limits=LIMITS, ell0=1.2, c=3.0, r_list=r_list, seed=0, replications=2, horizon=0.3)
+    return convergence_sweep(cfg, policies, bcp_dt=0.05, bcp_paths=200)
 
 
 def test_sweep_needs_a_trend():
     with pytest.raises(ValueError):
-        convergence_sweep(LIMITS, ["threshold"], [5.0], _tiny_sweep_config())
+        _tiny_sweep(["threshold"], (5.0,))
     with pytest.raises(ValueError):
-        convergence_sweep(LIMITS, [], [5.0, 10.0], _tiny_sweep_config())
+        _tiny_sweep([], (5.0, 10.0))
 
 
 def test_sweep_warns_below_the_guaranteed_log_coefficient():
     with pytest.warns(UserWarning, match="floor"):
-        result = convergence_sweep(LIMITS, ["threshold"], [3.0, 5.0], _tiny_sweep_config())
+        result = _tiny_sweep(["threshold"], (3.0, 5.0))
     assert len(result.runs) == 2
     assert result.j_star.mean > 0.0
 
@@ -135,8 +127,8 @@ def test_sweep_is_deterministic_and_gap_uses_the_reference():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        a = convergence_sweep(LIMITS, ["threshold", "priority1"], [3.0, 5.0], _tiny_sweep_config())
-        b = convergence_sweep(LIMITS, ["threshold", "priority1"], [3.0, 5.0], _tiny_sweep_config())
+        a = _tiny_sweep(["threshold", "priority1"], (3.0, 5.0))
+        b = _tiny_sweep(["threshold", "priority1"], (3.0, 5.0))
     assert [run.mean for run in a.runs] == [run.mean for run in b.runs]
     assert a.j_star.mean == b.j_star.mean
     run = a.runs[0]
