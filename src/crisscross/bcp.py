@@ -36,6 +36,11 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 # draws, so changing it changes every estimate.
 _BATCH_SIZE = 128
 
+# Bytes of one (paths, steps, 2) work tile of a batch. Tiles hold whole
+# paths, at least one, so no running sum or minimum crosses a tile; the
+# budget only sets how many paths share a tile, never a result bit.
+_TILE_BYTES = 1 << 18
+
 # Float tolerance of every residual in admissibility_audit.
 _AUDIT_ATOL = 1e-9
 
@@ -112,25 +117,34 @@ def _grid_steps(dt: float, horizon: float) -> int:
     return n
 
 
-def _reflect_grid(x: np.ndarray, step_var: np.ndarray, gen, bridge: bool) -> np.ndarray:
-    """Pushing processes for free paths x of shape (k, n+1, m) starting at 0.
+def _running_low(x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: np.ndarray) -> None:
+    """Minus the pushing of free paths x (g, n+1, m) starting at 0, into out.
 
-    Each step's minimum is the smaller endpoint, or with bridge=True a draw
-    from the exact bridge minimum law per coordinate:
+    out (g, n, m) receives the running minimum of the step minima and 0, so
+    the pushing is 0 at the start and -out after it. Each step's minimum is
+    the smaller endpoint, or, given uniforms u of out's shape, a draw from
+    the exact bridge minimum law per coordinate:
     m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step endpoints a, b and
-    step variance v. The pushing is minus the running minimum of the step
-    minima and 0.
+    step variance v; two_var holds 2 v and broadcasts against out. Every
+    stage runs in place, and u is used up as scratch. fmin is minimum but
+    for NaN, and no step minimum is NaN.
     """
-    a = x[:, :-1, :]
-    b = x[:, 1:, :]
-    if bridge:
-        u = gen.random(size=a.shape)
-        disc = (b - a) ** 2 - 2.0 * step_var * np.log(u)
-        minima = 0.5 * (a + b - np.sqrt(disc))
+    a = x[:, :-1]
+    b = x[:, 1:]
+    if u is None:
+        np.minimum(a, b, out=out)
     else:
-        minima = np.minimum(a, b)
-    low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=1)
-    return np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
+        np.subtract(b, a, out=out)
+        np.square(out, out=out)
+        np.log(u, out=u)
+        u *= two_var
+        out -= u
+        np.sqrt(out, out=out)
+        np.add(a, b, out=u)
+        np.subtract(u, out, out=out)
+        out *= 0.5
+    np.minimum(out, 0.0, out=out)
+    np.fmin.accumulate(out, axis=1, out=out)
 
 
 def simulate_rbm(
@@ -158,7 +172,10 @@ def simulate_rbm(
     free_w = x @ proj.T                       # (n+1, 2)
     _, pcov, _ = _workload_projection(bm, proj)
     step_var = np.diag(pcov) * dt
-    pushing = _reflect_grid(free_w[None, :, :], step_var, gen, bridge_minima)[0]
+    u = gen.random(size=(1, n, 2)) if bridge_minima else None
+    pushing = np.zeros((n + 1, 2))
+    _running_low(free_w[None, :, :], u, 2.0 * step_var, pushing[None, 1:])
+    np.negative(pushing[1:], out=pushing[1:])
     times = np.arange(n + 1) * dt
     return RbmPath(times=times, workload=free_w + pushing, pushing=pushing, netput=x, dt=dt)
 
@@ -221,6 +238,11 @@ def _mc_summary(samples: np.ndarray) -> tuple[float, float | None]:
     return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
+def _tile_paths(n_steps: int) -> int:
+    """Paths per work tile on an n_steps grid: as many as _TILE_BYTES holds, at least one."""
+    return max(1, _TILE_BYTES // (16 * n_steps))
+
+
 def estimate_j_star(
     limits: NetworkLimits,
     dt: float = 1e-3,
@@ -249,7 +271,7 @@ def estimate_j_star(
     n = _grid_steps(dt, horizon)
     gen = _as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
-    mu1, mu2, mu3 = limits.mu
+    _, mu2, mu3 = limits.mu
     bm = LimitBm.from_limits(limits)
     pdrift, pcov, pchol = _workload_projection(bm, WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
@@ -257,24 +279,64 @@ def estimate_j_star(
     wts = _discount_weights(gamma, n, dt)
 
     # Per-path discounted integrals: the cost, then each workload coordinate.
+    # The batch buffers are allocated once; each tile of whole paths then runs
+    # every stage in place in one (tile, n, 2) work buffer, which also serves
+    # as the two (tile, n) scratch arrays of the cost.
     samples = [np.empty(n_paths) for _ in range(3)]
+    batch = min(_BATCH_SIZE, n_paths)
+    tile = min(_tile_paths(n), batch)
+    z = np.empty((batch, n, 2))
+    u = np.empty((batch, n, 2)) if bridge_minima else None
+    w = np.empty((batch, n + 1, 2))
+    w[:, 0] = 0.0
+    cost = np.empty((batch, n))
+    work = np.empty((tile, n, 2))
+    scratch = work.reshape(2, tile, n)
+    heavy = np.empty((tile, n), dtype=bool)
+    # Per-step constants as (n, 2) rows: against a (2,) operand numpy runs
+    # an inner loop of two elements, about ten times slower.
+    drift_dt = np.tile(pdrift * dt, (n, 1))
+    two_var = np.tile(2.0 * step_var, (n, 1))
     for start in range(0, n_paths, _BATCH_SIZE):
         k = min(_BATCH_SIZE, n_paths - start)
-        z = gen.standard_normal(size=(k, n, 2))
-        incr = (z @ pchol.T) * sqdt + pdrift * dt
-        x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
-        w = x + _reflect_grid(x, step_var, gen, bridge_minima)
-        w1 = w[:, :-1, 0]
-        w2 = w[:, :-1, 1]
-        cost = np.where(
-            mu3 * w2 >= mu2 * w1,
-            heavy3[0] * w1 + heavy3[1] * w2,
-            heavy1[0] * w1 + heavy1[1] * w2,
-        )
+        gen.standard_normal(out=z[:k])
+        if u is not None:
+            gen.random(out=u[:k])
+        for lo in range(0, k, tile):
+            p = slice(lo, min(lo + tile, k))
+            g = p.stop - lo
+            x = w[p]
+            buf = work[:g]
+            np.matmul(z[p], pchol.T, out=buf)
+            buf *= sqdt
+            buf += drift_dt
+            np.cumsum(buf, axis=1, out=x[:, 1:])
+            _running_low(x, None if u is None else u[p], two_var, buf)
+            x[:, 1:] -= buf
+            # Cost: heavy1's linear form, replaced by heavy3's on the side
+            # mu3 w2 >= mu2 w1 of the workload cone.
+            w1 = x[:, :-1, 0]
+            w2 = x[:, :-1, 1]
+            c = cost[p]
+            s1 = scratch[0, :g]
+            s2 = scratch[1, :g]
+            np.multiply(w2, mu3, out=s1)
+            np.multiply(w1, mu2, out=s2)
+            np.greater_equal(s1, s2, out=heavy[:g])
+            np.multiply(w1, heavy1[0], out=c)
+            np.multiply(w2, heavy1[1], out=s1)
+            c += s1
+            np.multiply(w1, heavy3[0], out=s2)
+            np.multiply(w2, heavy3[1], out=s1)
+            s2 += s1
+            np.copyto(c, s2, where=heavy[:g])
+        # The discount sums run once per batch on the full buffers: BLAS sums
+        # the contiguous cost, numpy's own loop the strided workload views.
+        # Per-tile sums would change the summation order, and so the bits.
         rows = slice(start, start + k)
-        samples[0][rows] = cost @ wts
-        samples[1][rows] = w1 @ wts
-        samples[2][rows] = w2 @ wts
+        samples[0][rows] = cost[:k] @ wts
+        samples[1][rows] = w[:k, :-1, 0] @ wts
+        samples[2][rows] = w[:k, :-1, 1] @ wts
 
     sigma = np.sqrt(np.diag(pcov))
     coeffs = (

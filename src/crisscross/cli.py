@@ -18,7 +18,7 @@ import numpy as np
 
 from .bcp import estimate_j_star
 from .experiments import convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
-from .params import Config, ConfigError, compute_threshold_constants, load_config, make_r_network
+from .params import Config, ConfigError, compute_threshold_constants, is_seed, load_config, make_r_network
 from .policies import POLICY_NAMES
 from .simulate import SCALES, ScaledTrajectory, diffusion_scale, write_scaled_csv
 
@@ -212,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if not is_seed(args.seed):
+                raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
         buf = io.StringIO()
         _COMMANDS[args.command](cfg, args, buf)

@@ -15,7 +15,7 @@ import numpy as np
 from .bcp import CostEstimate, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
 from .policies import PolicyFn, make_policy
-from .simulate import ScaledTrajectory, Trajectory, diffusion_scale, simulate
+from .simulate import ScaledTrajectory, Trajectory, diffusion_scale, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -180,6 +180,8 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
             "cost bounds are not covered by the theory at this size"
         )
     nets = [make_r_network(limits, r, config.ell0, config.c) for r in config.r_list]
+    for net in nets:
+        event_budget(net, net.r * net.r * config.horizon)
     for policy in policies:
         make_policy(policy, nets[0])  # rejects an unknown name
     # The reference draws from its own seed family, so running it first

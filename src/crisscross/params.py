@@ -28,6 +28,7 @@ __all__ = [
     "kappa_bound",
     "parse_config",
     "load_config",
+    "is_seed",
 ]
 
 
@@ -307,6 +308,12 @@ def _as_floats(raw, key: str, n: int) -> tuple[float, ...]:
     return tuple(_as_number(x, key) for x in raw)
 
 
+def is_seed(value) -> bool:
+    """The one seed rule, for a config seed and the CLI override alike: a
+    non-negative integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def parse_config(raw: dict) -> Config:
     """Validate a decoded config mapping. Unknown keys are errors, not warnings."""
     if not isinstance(raw, dict):
@@ -338,7 +345,7 @@ def parse_config(raw: dict) -> Config:
         kwargs["r_list"] = tuple(_as_number(x, "r_list") for x in rl)
     if "seed" in raw:
         seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not is_seed(seed):
             raise ConfigError(f"key 'seed' must be a non-negative integer, got {seed!r}")
         kwargs["seed"] = seed
     if "replications" in raw:

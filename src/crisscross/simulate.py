@@ -30,12 +30,19 @@ __all__ = [
     "diffusion_scale",
     "check_conservation",
     "write_scaled_csv",
+    "event_budget",
 ]
 
 SeedLike = Union[int, np.random.SeedSequence]
 
 # Float tolerance of the clock identities in check_conservation.
 _CLOCK_ATOL = 1e-9
+
+# Most events simulate accepts to run, by the estimate of event_budget. The
+# record costs about 140 bytes per event while it is built, so this caps it
+# near 550 MB. r = 160 at the default scaled horizon of 15 estimates 1.92M
+# events on the symmetric example.
+_MAX_EVENTS = 4_000_000
 
 # The five queue moves an event can make, in counting-process order:
 # arrival 1, arrival 2, service at buffer 1, 2 (routed to 3) and 3.
@@ -112,6 +119,21 @@ def _exp_source(gen: np.random.Generator, rate: float, chunk: int = 8192):
     return draw
 
 
+def event_budget(net: RNetwork, horizon: float) -> float:
+    """Estimated events of a run over [0, horizon] (unscaled time): the total
+    event rate, with server 1 at its faster service rate, times the horizon.
+    Raises ValueError above _MAX_EVENTS, before anything is simulated.
+    """
+    rate = net.lam[0] + net.lam[1] + max(net.mu[0], net.mu[1]) + net.mu[2]
+    events = rate * horizon
+    if events > _MAX_EVENTS:
+        raise ValueError(
+            f"r = {net.r!r} over horizon {horizon!r} needs about {events:.3g} events, "
+            f"more than the limit of {_MAX_EVENTS}"
+        )
+    return events
+
+
 def simulate(
     net: RNetwork,
     policy: str | PolicyFn,
@@ -124,9 +146,11 @@ def simulate(
     server2) returning buffer indices (0 = idle); it is consulted once per
     recorded row, so it must be a function of the queues alone. The same
     (net, policy, horizon, seed) always reproduces the identical trajectory.
+    A run that event_budget estimates above _MAX_EVENTS raises ValueError.
     """
     if not (horizon >= 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon = {horizon!r} must be finite and >= 0")
+    event_budget(net, horizon)
     policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crisscross import bcp
 from crisscross.bcp import (
     LimitBm,
     admissibility_audit,
@@ -13,11 +14,20 @@ from crisscross.bcp import (
     simulate_rbm,
 )
 from crisscross.params import NetworkLimits
-from crisscross.workload import SamplePath, WorkloadMatrix, effective_cost, skorohod_reflect
+from crisscross.workload import (
+    SamplePath,
+    WorkloadMatrix,
+    effective_cost,
+    effective_cost_coefficients,
+    skorohod_reflect,
+)
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
 DRIFTED = NetworkLimits(
     lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0, b=(0.5, -0.25, 0.75)
+)
+ASYMMETRIC_DRIFTED = NetworkLimits(
+    lam=(0.8, 1.8), mu=(2.0, 3.0, 1.8), h=(1.2, 1.0, 0.6), gamma=1.0, b=(0.5, -0.25, 0.75)
 )
 
 
@@ -157,3 +167,74 @@ def test_reference_cost_dominates_its_largest_ingredient():
     # max(2 W1, W2) integrates to at least the larger marginal target.
     assert est.mean > 1.35
     assert est.mean < 2.0
+
+
+def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima):
+    """The whole-batch form of estimate_j_star's pass, kept as its oracle:
+    per-path discounted cost and workload integrals, every stage on full
+    (k, n, 2) arrays. The same draws in the same order: per batch of
+    _BATCH_SIZE paths, one normal block, then one uniform block."""
+    n = bcp._grid_steps(dt, horizon)
+    gen = bcp._as_generator(seed)
+    heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
+    _, mu2, mu3 = limits.mu
+    pdrift, pcov, pchol = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
+    step_var = np.diag(pcov) * dt
+    sqdt = math.sqrt(dt)
+    wts = bcp._discount_weights(limits.gamma, n, dt)
+    samples = [np.empty(n_paths) for _ in range(3)]
+    for start in range(0, n_paths, bcp._BATCH_SIZE):
+        k = min(bcp._BATCH_SIZE, n_paths - start)
+        z = gen.standard_normal(size=(k, n, 2))
+        incr = (z @ pchol.T) * sqdt + pdrift * dt
+        x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
+        a = x[:, :-1, :]
+        b = x[:, 1:, :]
+        if bridge_minima:
+            u = gen.random(size=a.shape)
+            disc = (b - a) ** 2 - 2.0 * step_var * np.log(u)
+            minima = 0.5 * (a + b - np.sqrt(disc))
+        else:
+            minima = np.minimum(a, b)
+        low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=1)
+        w = x + np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
+        w1 = w[:, :-1, 0]
+        w2 = w[:, :-1, 1]
+        cost = np.where(
+            mu3 * w2 >= mu2 * w1,
+            heavy3[0] * w1 + heavy3[1] * w2,
+            heavy1[0] * w1 + heavy1[1] * w2,
+        )
+        rows = slice(start, start + k)
+        samples[0][rows] = cost @ wts
+        samples[1][rows] = w1 @ wts
+        samples[2][rows] = w2 @ wts
+    return samples
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+# Grids of 100 and 3000 steps: a tile of the first holds more paths than a
+# batch, and the second's tile size divides neither 128 nor 300 % 128.
+_ORACLE_GRIDS = ((0.1, 10.0), (0.005, 15.0))
+
+
+def test_oracle_grids_cover_partial_tiles():
+    big, small = (bcp._tile_paths(bcp._grid_steps(dt, horizon)) for dt, horizon in _ORACLE_GRIDS)
+    assert big > bcp._BATCH_SIZE
+    assert 1 < small and bcp._BATCH_SIZE % small and (300 % bcp._BATCH_SIZE) % small
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid-minima"])
+@pytest.mark.parametrize("grid", _ORACLE_GRIDS, ids=["one-tile", "partial-tiles"])
+@pytest.mark.parametrize("n_paths", [1, 127, 128, 300])
+def test_tiled_pass_is_bit_identical_to_the_vectorized_oracle(limits, bridge, grid, n_paths):
+    dt, horizon = grid
+    est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=n_paths, seed=17, bridge_minima=bridge)
+    samples = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
+    got = [(_hex(e.mean), _hex(e.stderr)) for e in (est, *est.marginals)]
+    want = [tuple(_hex(v) for v in bcp._mc_summary(s)) for s in samples]
+    assert got == want

@@ -118,6 +118,19 @@ def test_seed_override_changes_the_run(config_path, capsys):
     assert capsys.readouterr().out == base
 
 
+@pytest.mark.parametrize("command,args", [("thresholds", []), ("ld-check", ["--samples", "10"])])
+def test_negative_seed_override_exits_2(config_path, capsys, command, args):
+    """--seed obeys the rule a config seed obeys, and the error names the flag."""
+    assert main([command, "--config", config_path, "--seed", "-1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "arguments"
+    assert "--seed" in payload["detail"]
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["thresholds", "--config", "/no/such/file.json"]) == 2
     err = capsys.readouterr().err.strip()
@@ -186,8 +199,9 @@ def test_unknown_policy_exits_2(config_path, capsys):
         ({}, ["--bcp-dt", "0"]),
         ({"r_list": [3, 5, 1]}, []),
         ({}, ["--policies", "threshold,fifo"]),
+        ({"b": [1e300, 0.0, 0.0]}, []),
     ],
-    ids=["no-paths", "zero-dt", "unusable-r", "unknown-policy"],
+    ids=["no-paths", "zero-dt", "unusable-r", "unknown-policy", "event-limit"],
 )
 def test_converge_rejects_bad_input_before_simulating(tmp_path, capsys, monkeypatch, overrides, args):
     calls = []
@@ -225,6 +239,18 @@ def test_overflowing_drift_offset_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(dict(GOOD, b=[1e308, 0.0, 0.0])), encoding="utf-8")
     assert main(["simulate", "--config", str(path), "--r", "5"]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
+
+
+@pytest.mark.parametrize("command,args", [("simulate", ["--horizon-scaled", "0.01"]), ("diagnostics", [])])
+def test_a_run_past_the_event_limit_exits_2(tmp_path, capsys, command, args):
+    """b1 = 1e300 makes the arrival rate about 4e299: finite, but no run
+    could finish. The event estimate refuses it before the first event."""
+    path = tmp_path / "huge_rate.json"
+    path.write_text(json.dumps(dict(GOOD, b=[1e300, 0.0, 0.0])), encoding="utf-8")
+    assert main([command, "--config", str(path), "--r", "5", *args]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "arguments"
+    assert "events" in payload["detail"]
 
 
 @pytest.mark.parametrize("dt,horizon", [("1", "0.4"), ("0.1", "inf"), ("inf", "1")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from crisscross.simulate import (
     ScaledTrajectory,
     check_conservation,
     diffusion_scale,
+    event_budget,
     fluid_scale,
     simulate,
     write_scaled_csv,
@@ -35,6 +37,20 @@ def test_zero_horizon_gives_the_empty_initial_state():
     assert traj.epochs[0] == 0.0
     assert tuple(traj.queues[0]) == (0, 0, 0)
     assert traj.counts.sum() == 0
+
+
+def test_the_event_estimate_admits_r_160_and_refuses_an_endless_run():
+    """r = 160 over the default scaled horizon of 15 is the largest run the
+    convergence study plans; a rate near 4e299 must fail before any event."""
+    for limits in (LIMITS, ASYMMETRIC):
+        net = make_r_network(limits, 160.0, 1.2, 3.0)
+        assert 1.9e6 < event_budget(net, 160.0**2 * 15.0) < 3e6
+    fast = make_r_network(replace(LIMITS, b=(1e300, 0.0, 0.0)), 5.0, 1.2, 3.0)
+    with pytest.raises(ValueError, match="events"):
+        event_budget(fast, 0.25)
+    with pytest.raises(ValueError, match="events"):
+        simulate(fast, "threshold", 0.25, 0)
+    assert len(simulate(fast, "threshold", 0.0, 0)) == 1
 
 
 def test_trajectory_ends_with_a_terminal_row_at_the_horizon():
