@@ -41,6 +41,11 @@ _BATCH_SIZE = 128
 # budget only sets how many paths share a tile, never a result bit.
 _TILE_BYTES = 1 << 18
 
+# Largest batch buffers estimate_j_star allocates. A batch of k paths of n
+# steps holds 7 n + 2 floats per path; 2 GiB admit 128 paths at dt = 1e-4
+# over a horizon of 15.
+_MAX_BATCH_BYTES = 2 << 30
+
 # Float tolerance of every residual in admissibility_audit.
 _AUDIT_ATOL = 1e-9
 
@@ -231,11 +236,51 @@ def _discount_weights(gamma: float, n_steps: int, dt: float) -> np.ndarray:
     return (np.exp(-gamma * t[:-1]) - np.exp(-gamma * t[1:])) / gamma
 
 
+def _reflected_mean(drift: float, sigma: float, t: np.ndarray) -> np.ndarray:
+    """E W(t) of a Brownian motion with drift and sd sigma, reflected at 0 from 0.
+
+    W(t) has the law of the running maximum over [0, t] (Harrison 1985,
+    ch. 1): E W(t) = sigma sqrt(t) phi(a) + drift t Phi(a)
+    + (sigma^2 / (2 drift)) erf(a / sqrt 2) with a = drift sqrt(t) / sigma.
+    2 Phi(a) - 1 is written as erf so that a tiny |drift| does not cancel.
+    """
+    root_t = np.sqrt(t)
+    if drift == 0.0:
+        return sigma * math.sqrt(2.0 / math.pi) * root_t
+    a = (drift / sigma) * root_t
+    e = np.fromiter(map(math.erf, a / math.sqrt(2.0)), float, count=a.size)
+    phi = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return sigma * root_t * phi + drift * t * (0.5 + 0.5 * e) + sigma * sigma / (2.0 * drift) * e
+
+
 def _mc_summary(samples: np.ndarray) -> tuple[float, float | None]:
     mean = float(samples.mean())
     if samples.size < 2:
         return mean, None
     return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+def _control_variate_summary(cost: np.ndarray, controls: np.ndarray, means: np.ndarray) -> tuple[float, float | None]:
+    """Mean and stderr of cost with the rows of controls, whose exact means
+    are known, as control variates (Glasserman 2003, sec. 4.1).
+
+    beta is the least squares fit of the centred cost on the centred
+    controls, from the same samples; the estimate is
+    mean(cost) - beta . (mean(controls) - means), and its stderr is the
+    residual sd, on n - 1 - len(controls) degrees of freedom, over sqrt(n).
+    With no residual degree of freedom it is the plain summary.
+    """
+    n = cost.size
+    dof = n - 1 - controls.shape[0]
+    if dof < 1:
+        return _mc_summary(cost)
+    control_bar = controls.mean(axis=1)
+    x = (controls - control_bar[:, None]).T
+    y = cost - cost.mean()
+    beta = np.linalg.lstsq(x, y, rcond=None)[0]
+    resid = y - x @ beta
+    mean = float(cost.mean() - beta @ (control_bar - means))
+    return mean, float(math.sqrt(resid @ resid / dof) / math.sqrt(n))
 
 
 def _tile_paths(n_steps: int) -> int:
@@ -255,13 +300,20 @@ def estimate_j_star(
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
-    point). horizon defaults to 15/gamma.
+    point). horizon defaults to 15/gamma. A grid whose batch buffers would
+    exceed _MAX_BATCH_BYTES is refused before anything is allocated.
 
     The same paths also give the discounted integral of each reflected
-    workload coordinate, returned in the result's marginals. These have
-    closed forms when the drift offsets vanish (the reflected coordinates
-    are then driftless Brownian motions), which makes them the calibration
-    target for the grid scheme.
+    workload coordinate, returned in the result's marginals as plain means.
+    These have closed forms when the drift offsets vanish (the reflected
+    coordinates are then driftless Brownian motions), which makes them the
+    calibration target for the grid scheme.
+
+    With bridge minima the reflected workloads are exact in law at the grid
+    points, so the marginals' means on the grid are known exactly
+    (_reflected_mean), and the cost is reported with both marginals as
+    control variates. Without bridge minima, or below four paths, the cost
+    is the plain mean.
     """
     gamma = limits.gamma
     if horizon is None:
@@ -269,6 +321,13 @@ def estimate_j_star(
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
+    batch = min(_BATCH_SIZE, n_paths)
+    need = 8 * batch * (7 * n + 2)
+    if need > _MAX_BATCH_BYTES:
+        raise ValueError(
+            f"{n} steps x {batch} paths need {need / 2**30:.3g} GiB of batch buffers, "
+            f"over the limit of {_MAX_BATCH_BYTES / 2**30:g} GiB"
+        )
     gen = _as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     _, mu2, mu3 = limits.mu
@@ -283,7 +342,6 @@ def estimate_j_star(
     # every stage in place in one (tile, n, 2) work buffer, which also serves
     # as the two (tile, n) scratch arrays of the cost.
     samples = [np.empty(n_paths) for _ in range(3)]
-    batch = min(_BATCH_SIZE, n_paths)
     tile = min(_tile_paths(n), batch)
     z = np.empty((batch, n, 2))
     u = np.empty((batch, n, 2)) if bridge_minima else None
@@ -339,6 +397,13 @@ def estimate_j_star(
         samples[2][rows] = w[:k, :-1, 1] @ wts
 
     sigma = np.sqrt(np.diag(pcov))
+    summaries = [_mc_summary(values) for values in samples]
+    if bridge_minima:
+        # Bridge minima make W exact in law at the grid points, so the
+        # workload integrals' exact means on the grid control the cost.
+        t = np.arange(n) * dt
+        means = np.array([wts @ _reflected_mean(d, s, t) for d, s in zip(pdrift, sigma)])
+        summaries[0] = _control_variate_summary(samples[0], np.stack(samples[1:]), means)
     coeffs = (
         np.array([max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]),
         np.array([1.0, 0.0]),
@@ -346,13 +411,13 @@ def estimate_j_star(
     )
     cost_est, *marginals = (
         CostEstimate(
-            *_mc_summary(values),
+            *summary,
             n_paths=n_paths,
             dt=dt,
             horizon=horizon,
             truncation_bound=_tail_bound(gamma, horizon, coeff, sigma, pdrift),
         )
-        for values, coeff in zip(samples, coeffs)
+        for summary, coeff in zip(summaries, coeffs)
     )
     return replace(cost_est, marginals=tuple(marginals))
 

@@ -162,13 +162,22 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
 
     Needs at least two r values (a single point cannot show a trend). Warns
     when the requested log-coefficient sits below the guaranteed regime.
-    Every input is checked before the first replication is simulated.
+    Every input is checked before the first replication is simulated, and
+    before any warning, so a rejected input reports only its error.
     """
     limits = config.limits
     if len(config.r_list) < 2:
         raise ValueError("r_list must contain at least two values to show a trend")
     if not policies:
         raise ValueError("need at least one policy")
+    nets = [make_r_network(limits, r, config.ell0, config.c) for r in config.r_list]
+    for net in nets:
+        event_budget(net, net.r * net.r * config.horizon)
+    for policy in policies:
+        make_policy(policy, nets[0])  # rejects an unknown name
+    # The reference draws from its own seed family, so running it first
+    # changes no replication. It also checks its grid and path count.
+    j_star = estimate_j_star(limits, dt=bcp_dt, n_paths=bcp_paths, seed=reference_seed(config.seed))
     try:
         constants = compute_threshold_constants(limits)
     except ValueError:
@@ -179,14 +188,6 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
             f"ell0 = {config.ell0} below the guaranteed floor {constants.ell_bar:.3g}; "
             "cost bounds are not covered by the theory at this size"
         )
-    nets = [make_r_network(limits, r, config.ell0, config.c) for r in config.r_list]
-    for net in nets:
-        event_budget(net, net.r * net.r * config.horizon)
-    for policy in policies:
-        make_policy(policy, nets[0])  # rejects an unknown name
-    # The reference draws from its own seed family, so running it first
-    # changes no replication.
-    j_star = estimate_j_star(limits, dt=bcp_dt, n_paths=bcp_paths, seed=reference_seed(config.seed))
     runs = tuple(
         estimate_cost(net, policy, limits.gamma, limits.h, config.horizon, config.replications, config.seed)
         for net in nets

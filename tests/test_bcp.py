@@ -97,6 +97,13 @@ def test_single_step_and_degenerate_grids():
         estimate_j_star(LIMITS, dt=1.0, horizon=0.4, n_paths=10)
 
 
+def test_a_grid_past_the_batch_buffer_limit_is_refused():
+    """300000 steps of 128 paths would need 2.0 GiB of batch buffers; the
+    pass refuses them before allocating."""
+    with pytest.raises(ValueError, match="GiB of batch buffers"):
+        estimate_j_star(LIMITS, dt=5e-5, n_paths=200)
+
+
 def test_cheapest_queue_configuration_prices_the_workload():
     path = simulate_rbm(LIMITS, dt=0.02, horizon=40.0, seed=23)
     q = optimal_queue_path(path, LIMITS)
@@ -227,6 +234,16 @@ def test_oracle_grids_cover_partial_tiles():
     assert 1 < small and bcp._BATCH_SIZE % small and (300 % bcp._BATCH_SIZE) % small
 
 
+def _grid_means(limits, dt, horizon):
+    """Exact means of the two discounted workload integrals on the grid,
+    computed as estimate_j_star computes them."""
+    n = bcp._grid_steps(dt, horizon)
+    pdrift, pcov, _ = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
+    wts = bcp._discount_weights(limits.gamma, n, dt)
+    t = np.arange(n) * dt
+    return np.array([wts @ bcp._reflected_mean(d, s, t) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))])
+
+
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid-minima"])
 @pytest.mark.parametrize("grid", _ORACLE_GRIDS, ids=["one-tile", "partial-tiles"])
@@ -235,6 +252,99 @@ def test_tiled_pass_is_bit_identical_to_the_vectorized_oracle(limits, bridge, gr
     dt, horizon = grid
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=n_paths, seed=17, bridge_minima=bridge)
     samples = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
+    # The marginals are plain means; with bridge minima the cost goes
+    # through the library's one combiner.
+    want = [bcp._mc_summary(s) for s in samples]
+    if bridge:
+        want[0] = bcp._control_variate_summary(samples[0], np.stack(samples[1:]), _grid_means(limits, dt, horizon))
     got = [(_hex(e.mean), _hex(e.stderr)) for e in (est, *est.marginals)]
-    want = [tuple(_hex(v) for v in bcp._mc_summary(s)) for s in samples]
-    assert got == want
+    assert got == [tuple(_hex(v) for v in s) for s in want]
+
+
+@pytest.mark.parametrize("bridge,n_paths", [(True, 2), (True, 3), (False, 4)])
+def test_cost_is_the_plain_mean_without_bridge_minima_or_below_four_paths(bridge, n_paths):
+    est = estimate_j_star(ASYMMETRIC_DRIFTED, dt=0.1, horizon=10.0, n_paths=n_paths, seed=5, bridge_minima=bridge)
+    samples = _vectorized_j_star_samples(ASYMMETRIC_DRIFTED, 0.1, 10.0, n_paths, 5, bridge)
+    assert (_hex(est.mean), _hex(est.stderr)) == tuple(_hex(v) for v in bcp._mc_summary(samples[0]))
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+def test_control_variates_cut_the_cost_stderr_without_moving_the_mean(limits):
+    """On the same 4000 paths the controlled cost sits within 3 plain
+    stderrs of the plain mean with at most a third of its stderr, and each
+    plain marginal sits within 3 stderrs of its exact grid mean."""
+    dt, horizon = 0.01, 15.0
+    est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=4000, seed=29)
+    samples = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
+    plain_mean, plain_se = bcp._mc_summary(samples[0])
+    assert abs(est.mean - plain_mean) <= 3.0 * plain_se, (est.mean, plain_mean, plain_se)
+    assert est.stderr <= plain_se / 3.0, (est.stderr, plain_se)
+    for marginal, mean in zip(est.marginals, _grid_means(limits, dt, horizon)):
+        assert abs(marginal.mean - mean) <= 3.0 * marginal.stderr, (marginal.mean, mean, marginal.stderr)
+
+
+def test_control_variate_summary_is_the_regression_prediction_at_the_control_means():
+    """Fitting cost ~ 1 + controls with an intercept column gives the same
+    estimate, read off at the known means, and the same residual variance
+    on n - 3 degrees of freedom."""
+    gen = np.random.Generator(np.random.PCG64(3))
+    controls = gen.exponential(size=(2, 50))
+    cost = 1.0 + 2.0 * controls[0] - 0.5 * controls[1] + 0.3 * gen.standard_normal(50)
+    means = np.array([1.1, 0.9])
+    design = np.column_stack([np.ones(50), controls.T])
+    coef, rss, *_ = np.linalg.lstsq(design, cost, rcond=None)
+    mean, stderr = bcp._control_variate_summary(cost, controls, means)
+    assert mean == pytest.approx(coef @ [1.0, *means], rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(rss[0] / 47) / math.sqrt(50), rel=1e-10)
+
+
+def _running_max_mean_by_quadrature(drift, var, t):
+    """E sup_{s<=t} (drift s + sqrt(var) B_s) as the integral over x > 0 of
+    P(sup > x) = Phibar((x - drift t)/(sigma sqrt t))
+    + exp(2 drift x / var) Phi((-x - drift t)/(sigma sqrt t)),
+    by 20-point Gauss-Legendre panels. The sup lies below
+    max(drift, 0) t + sup sqrt(var) B, so the tail past 12 sd is below 1e-30."""
+    sigma = math.sqrt(var)
+    sd = sigma * math.sqrt(t)
+    scale = sd if drift >= 0.0 else min(sd, var / (2.0 * -drift))
+    upper = max(drift, 0.0) * t + 12.0 * sd
+    panels = math.ceil(upper / (scale / 4.0))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, upper, panels + 1)
+    half = 0.5 * np.diff(edges)
+    x = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+    erfc = np.vectorize(math.erfc)
+    tail = 0.5 * erfc((x - drift * t) / (sd * math.sqrt(2.0)))
+    tail += np.exp(2.0 * drift * x / var) * 0.5 * erfc((x + drift * t) / (sd * math.sqrt(2.0)))
+    return float((tail.reshape(panels, 20) @ weights) @ half)
+
+
+@pytest.mark.parametrize(
+    "drift,var,t",
+    [
+        (0.0, 1.0, 1.0),
+        (0.0, 2.0, 0.37),
+        (1e-8, 1.0, 2.0),
+        (-1e-8, 2.0, 5.0),
+        (0.5, 1.0, 3.0),
+        (-0.5, 1.0, 3.0),
+        (1.25, 0.8, 0.5),
+        (-1.0, 2.0, 10.0),
+        (-0.25, 4.0, 0.01),
+        (2.0, 0.5, 4.0),
+    ],
+)
+def test_reflected_mean_matches_quadrature_of_the_running_maximum_tail(drift, var, t):
+    got = bcp._reflected_mean(drift, math.sqrt(var), np.array([t]))[0]
+    assert got == pytest.approx(_running_max_mean_by_quadrature(drift, var, t), abs=1e-7)
+
+
+@pytest.mark.parametrize("drift,var", [(-1.0, 2.0), (-0.3, 0.5), (-2.5, 1.0)])
+def test_reflected_mean_tends_to_the_stationary_mean(drift, var):
+    """With negative drift E W(t) rises to the exponential stationary mean
+    var / (2 |drift|)."""
+    t = np.array([0.0, 1.0, 4000.0])
+    got = bcp._reflected_mean(drift, math.sqrt(var), t)
+    assert got[0] == 0.0
+    assert got[1] < got[2]
+    assert got[2] == pytest.approx(var / (2.0 * -drift), rel=1e-12)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crisscross
 import crisscross.experiments
 from crisscross.cli import main
 from crisscross.params import Config, ConfigError, parse_config
@@ -216,12 +220,35 @@ def test_converge_rejects_bad_input_before_simulating(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
+    "overrides,args",
+    [({"b": [1e300, 0.0, 0.0]}, []), ({}, ["--bcp-dt", "0"])],
+    ids=["event-limit", "zero-dt"],
+)
+def test_a_rejected_converge_writes_one_json_line_on_stderr(tmp_path, overrides, args):
+    """In a fresh interpreter, where Python prints warnings on stderr: the
+    ell0 floor warning (both configs sit below the floor) must not precede
+    the error line."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(GOOD, **overrides)), encoding="utf-8")
+    src = str(Path(crisscross.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
+    proc = subprocess.run([sys.executable, "-m", "crisscross.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "arguments"
+
+
+@pytest.mark.parametrize(
     "command,args",
     [("bcp", ["--dt", "1e-15", "--paths", "1"]), ("ld-check", ["--samples", str(10**16)])],
 )
 def test_a_size_too_large_to_allocate_exits_2(config_path, capsys, command, args):
-    """Each request is over 70 PiB, past the address space, so numpy
-    refuses it before touching memory."""
+    """Each request is over 70 PiB, past the address space: the BCP pass
+    refuses it by its batch-buffer limit, and numpy refuses the ld-check
+    draws before touching memory."""
     assert main([command, "--config", config_path, *args]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
 
@@ -282,6 +309,16 @@ def _configs(draw):
     return raw
 
 
+# Each command's size is bounded whatever the config: the simulator's by
+# event_budget, the BCP pass's by its batch-buffer limit.
+_PROPERTY_COMMANDS = (
+    ["thresholds"],
+    ["simulate", "--r", "2", "--horizon-scaled", "0.01"],
+    ["diagnostics", "--r", "2", "--horizon-scaled", "0.01"],
+    ["bcp", "--dt", "0.5", "--paths", "4"],
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(raw=_configs())
 @example(raw=dict(GOOD, ell0=1e308))  # a finite ell0 whose threshold size overflows
@@ -292,4 +329,6 @@ def test_any_config_parses_or_is_a_config_error_and_main_never_raises(tmp_path_f
         pass
     path = tmp_path_factory.getbasetemp() / "property.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["thresholds", "--config", str(path), "--out", str(path.with_suffix(".out"))]) in (0, 2)
+    out = ["--config", str(path), "--out", str(path.with_suffix(".out"))]
+    for command in _PROPERTY_COMMANDS:
+        assert main([*command, *out]) in (0, 2), command
