@@ -41,9 +41,9 @@ _BATCH_SIZE = 128
 # budget only sets how many paths share a tile, never a result bit.
 _TILE_BYTES = 1 << 18
 
-# Largest batch buffers estimate_j_star allocates. A batch of k paths of n
-# steps holds 7 n + 2 floats per path; 2 GiB admit 128 paths at dt = 1e-4
-# over a horizon of 15.
+# Largest buffers estimate_j_star allocates: a batch of k paths of n steps
+# holds 7 n + 2 floats per path, and each path keeps 4 discounted integrals.
+# 2 GiB admit 128 paths at dt = 1e-4 over a horizon of 15.
 _MAX_BATCH_BYTES = 2 << 30
 
 # Float tolerance of every residual in admissibility_audit.
@@ -236,6 +236,10 @@ def _discount_weights(gamma: float, n_steps: int, dt: float) -> np.ndarray:
     return (np.exp(-gamma * t[:-1]) - np.exp(-gamma * t[1:])) / gamma
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erf, x), float, count=x.size)
+
+
 def _reflected_mean(drift: float, sigma: float, t: np.ndarray) -> np.ndarray:
     """E W(t) of a Brownian motion with drift and sd sigma, reflected at 0 from 0.
 
@@ -248,9 +252,23 @@ def _reflected_mean(drift: float, sigma: float, t: np.ndarray) -> np.ndarray:
     if drift == 0.0:
         return sigma * math.sqrt(2.0 / math.pi) * root_t
     a = (drift / sigma) * root_t
-    e = np.fromiter(map(math.erf, a / math.sqrt(2.0)), float, count=a.size)
+    e = _erf(a / math.sqrt(2.0))
     phi = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
     return sigma * root_t * phi + drift * t * (0.5 + 0.5 * e) + sigma * sigma / (2.0 * drift) * e
+
+
+def _folded_mean(drift: float, sigma: float, t: np.ndarray) -> np.ndarray:
+    """E |X(t)| of a Brownian motion X with drift and sd sigma, from 0.
+
+    X(t) is normal with mean drift t and sd sigma sqrt(t), so its folded
+    mean is sigma sqrt(t) sqrt(2/pi) e^(-a^2/2) + drift t erf(a / sqrt 2)
+    with a = drift sqrt(t) / sigma.
+    """
+    root_t = np.sqrt(t)
+    if drift == 0.0:
+        return sigma * math.sqrt(2.0 / math.pi) * root_t
+    a = (drift / sigma) * root_t
+    return sigma * math.sqrt(2.0 / math.pi) * root_t * np.exp(-0.5 * a * a) + drift * t * _erf(a / math.sqrt(2.0))
 
 
 def _mc_summary(samples: np.ndarray) -> tuple[float, float | None]:
@@ -300,8 +318,9 @@ def estimate_j_star(
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
-    point). horizon defaults to 15/gamma. A grid whose batch buffers would
-    exceed _MAX_BATCH_BYTES is refused before anything is allocated.
+    point). horizon defaults to 15/gamma. A run whose batch buffers and
+    per-path integrals would exceed _MAX_BATCH_BYTES is refused before
+    anything is allocated.
 
     The same paths also give the discounted integral of each reflected
     workload coordinate, returned in the result's marginals as plain means.
@@ -309,11 +328,20 @@ def estimate_j_star(
     coordinates are then driftless Brownian motions), which makes them the
     calibration target for the grid scheme.
 
+    The minimal cost is convex and piecewise linear in the workload w:
+    heavy1 . w + (l . w)+ with l = heavy3 - heavy1, whose kink is the
+    switching line mu3 w2 = mu2 w1 (l . w = (g1/mu2)(mu3 w2 - mu2 w1) with
+    g1 > 0 for valid limits). Each path's cost integral is formed that way,
+    from its two workload integrals and the integral of (l . w)+.
+
     With bridge minima the reflected workloads are exact in law at the grid
     points, so the marginals' means on the grid are known exactly
-    (_reflected_mean), and the cost is reported with both marginals as
-    control variates. Without bridge minima, or below four paths, the cost
-    is the plain mean.
+    (_reflected_mean). So is the mean of the discounted integral of
+    |l . X| over the free workload netput X, which is normal at each grid
+    point (_folded_mean). The cost is reported with these three integrals
+    as control variates: the two marginals take out its linear part, the
+    free kink most of the rest. Without bridge minima, or below five paths,
+    the cost is the plain mean.
     """
     gamma = limits.gamma
     if horizon is None:
@@ -322,35 +350,38 @@ def estimate_j_star(
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
     batch = min(_BATCH_SIZE, n_paths)
-    need = 8 * batch * (7 * n + 2)
+    need = 8 * (batch * (7 * n + 2) + 4 * n_paths)
     if need > _MAX_BATCH_BYTES:
         raise ValueError(
-            f"{n} steps x {batch} paths need {need / 2**30:.3g} GiB of batch buffers, "
-            f"over the limit of {_MAX_BATCH_BYTES / 2**30:g} GiB"
+            f"{n} steps x {n_paths} paths need {need / 2**30:.3g} GiB of batch buffers and per-path "
+            f"integrals, over the limit of {_MAX_BATCH_BYTES / 2**30:g} GiB"
         )
     gen = _as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
-    _, mu2, mu3 = limits.mu
+    ell = np.subtract(heavy3, heavy1)
     bm = LimitBm.from_limits(limits)
     pdrift, pcov, pchol = _workload_projection(bm, WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
     sqdt = math.sqrt(dt)
     wts = _discount_weights(gamma, n, dt)
 
-    # Per-path discounted integrals: the cost, then each workload coordinate.
-    # The batch buffers are allocated once; each tile of whole paths then runs
-    # every stage in place in one (tile, n, 2) work buffer, which also serves
-    # as the two (tile, n) scratch arrays of the cost.
-    samples = [np.empty(n_paths) for _ in range(3)]
+    # Per-path discounted integrals: the cost, each workload coordinate, and
+    # the free kink |l . X|, which only the bridge-minima estimate uses. The
+    # batch buffers are allocated once; each tile of whole paths then runs
+    # every stage in place in one (tile, n, 2) work buffer. Once a tile's
+    # normals are spent, the first n floats of each path's row hold |l . X|
+    # and the last n serve as scratch.
+    samples = [np.empty(n_paths) for _ in range(4)]
     tile = min(_tile_paths(n), batch)
     z = np.empty((batch, n, 2))
+    rows_z = z.reshape(batch, 2 * n)
+    kink = rows_z[:, :n]
+    spare = rows_z[:, n:]
     u = np.empty((batch, n, 2)) if bridge_minima else None
     w = np.empty((batch, n + 1, 2))
     w[:, 0] = 0.0
     cost = np.empty((batch, n))
     work = np.empty((tile, n, 2))
-    scratch = work.reshape(2, tile, n)
-    heavy = np.empty((tile, n), dtype=bool)
     # Per-step constants as (n, 2) rows: against a (2,) operand numpy runs
     # an inner loop of two elements, about ten times slower.
     drift_dt = np.tile(pdrift * dt, (n, 1))
@@ -369,41 +400,44 @@ def estimate_j_star(
             buf *= sqdt
             buf += drift_dt
             np.cumsum(buf, axis=1, out=x[:, 1:])
+            s = spare[p]
+            if u is not None:
+                # |l . X| of the free netput at the left points, before reflection.
+                a = kink[p]
+                np.multiply(x[:, :-1, 0], ell[0], out=a)
+                np.multiply(x[:, :-1, 1], ell[1], out=s)
+                a += s
+                np.absolute(a, out=a)
             _running_low(x, None if u is None else u[p], two_var, buf)
             x[:, 1:] -= buf
-            # Cost: heavy1's linear form, replaced by heavy3's on the side
-            # mu3 w2 >= mu2 w1 of the workload cone.
-            w1 = x[:, :-1, 0]
-            w2 = x[:, :-1, 1]
+            # The cost beyond heavy1's linear form: (l . w)+.
             c = cost[p]
-            s1 = scratch[0, :g]
-            s2 = scratch[1, :g]
-            np.multiply(w2, mu3, out=s1)
-            np.multiply(w1, mu2, out=s2)
-            np.greater_equal(s1, s2, out=heavy[:g])
-            np.multiply(w1, heavy1[0], out=c)
-            np.multiply(w2, heavy1[1], out=s1)
-            c += s1
-            np.multiply(w1, heavy3[0], out=s2)
-            np.multiply(w2, heavy3[1], out=s1)
-            s2 += s1
-            np.copyto(c, s2, where=heavy[:g])
+            np.multiply(x[:, :-1, 0], ell[0], out=c)
+            np.multiply(x[:, :-1, 1], ell[1], out=s)
+            c += s
+            np.maximum(c, 0.0, out=c)
         # The discount sums run once per batch on the full buffers: BLAS sums
-        # the contiguous cost, numpy's own loop the strided workload views.
+        # the contiguous rows, numpy's own loop the strided workload views.
         # Per-tile sums would change the summation order, and so the bits.
         rows = slice(start, start + k)
-        samples[0][rows] = cost[:k] @ wts
-        samples[1][rows] = w[:k, :-1, 0] @ wts
-        samples[2][rows] = w[:k, :-1, 1] @ wts
+        m1 = w[:k, :-1, 0] @ wts
+        m2 = w[:k, :-1, 1] @ wts
+        samples[0][rows] = heavy1[0] * m1 + heavy1[1] * m2 + cost[:k] @ wts
+        samples[1][rows] = m1
+        samples[2][rows] = m2
+        if u is not None:
+            samples[3][rows] = kink[:k] @ wts
 
     sigma = np.sqrt(np.diag(pcov))
-    summaries = [_mc_summary(values) for values in samples]
+    summaries = [_mc_summary(values) for values in samples[:3]]
     if bridge_minima:
         # Bridge minima make W exact in law at the grid points, so the
-        # workload integrals' exact means on the grid control the cost.
+        # workload integrals' exact means on the grid control the cost;
+        # the free kink's grid mean is exact with or without them.
         t = np.arange(n) * dt
-        means = np.array([wts @ _reflected_mean(d, s, t) for d, s in zip(pdrift, sigma)])
-        summaries[0] = _control_variate_summary(samples[0], np.stack(samples[1:]), means)
+        means = [wts @ _reflected_mean(d, sd, t) for d, sd in zip(pdrift, sigma)]
+        means.append(wts @ _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t))
+        summaries[0] = _control_variate_summary(samples[0], np.stack(samples[1:]), np.array(means))
     coeffs = (
         np.array([max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]),
         np.array([1.0, 0.0]),

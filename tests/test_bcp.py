@@ -104,6 +104,14 @@ def test_a_grid_past_the_batch_buffer_limit_is_refused():
         estimate_j_star(LIMITS, dt=5e-5, n_paths=200)
 
 
+def test_a_path_count_past_the_buffer_limit_is_refused():
+    """1e14 paths of 30 steps keep only 212 KiB of batch buffers, but their
+    four per-path integrals would need 2.8 PiB; the pass refuses them before
+    allocating, naming the limit."""
+    with pytest.raises(ValueError, match="over the limit of 2 GiB"):
+        estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
+
+
 def test_cheapest_queue_configuration_prices_the_workload():
     path = simulate_rbm(LIMITS, dt=0.02, horizon=40.0, seed=23)
     q = optimal_queue_path(path, LIMITS)
@@ -178,18 +186,21 @@ def test_reference_cost_dominates_its_largest_ingredient():
 
 def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima):
     """The whole-batch form of estimate_j_star's pass, kept as its oracle:
-    per-path discounted cost and workload integrals, every stage on full
-    (k, n, 2) arrays. The same draws in the same order: per batch of
-    _BATCH_SIZE paths, one normal block, then one uniform block."""
+    per-path discounted integrals of the cost, of each workload coordinate
+    and of the free kink |l . X|, every stage on full (k, n, 2) arrays. The
+    cost is heavy1 . w + (l . w)+ with l = heavy3 - heavy1, its integral
+    formed from the workload integrals. The same draws in the same order:
+    per batch of _BATCH_SIZE paths, one normal block, then one uniform
+    block."""
     n = bcp._grid_steps(dt, horizon)
     gen = bcp._as_generator(seed)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
-    _, mu2, mu3 = limits.mu
+    ell = np.subtract(heavy3, heavy1)
     pdrift, pcov, pchol = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
     sqdt = math.sqrt(dt)
     wts = bcp._discount_weights(limits.gamma, n, dt)
-    samples = [np.empty(n_paths) for _ in range(3)]
+    samples = [np.empty(n_paths) for _ in range(4)]
     for start in range(0, n_paths, bcp._BATCH_SIZE):
         k = min(bcp._BATCH_SIZE, n_paths - start)
         z = gen.standard_normal(size=(k, n, 2))
@@ -197,6 +208,7 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
         x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
         a = x[:, :-1, :]
         b = x[:, 1:, :]
+        kink = np.abs(ell[0] * a[:, :, 0] + ell[1] * a[:, :, 1])
         if bridge_minima:
             u = gen.random(size=a.shape)
             disc = (b - a) ** 2 - 2.0 * step_var * np.log(u)
@@ -207,15 +219,12 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
         w = x + np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
         w1 = w[:, :-1, 0]
         w2 = w[:, :-1, 1]
-        cost = np.where(
-            mu3 * w2 >= mu2 * w1,
-            heavy3[0] * w1 + heavy3[1] * w2,
-            heavy1[0] * w1 + heavy1[1] * w2,
-        )
+        cost = np.maximum(ell[0] * w1 + ell[1] * w2, 0.0)
         rows = slice(start, start + k)
-        samples[0][rows] = cost @ wts
         samples[1][rows] = w1 @ wts
         samples[2][rows] = w2 @ wts
+        samples[0][rows] = heavy1[0] * samples[1][rows] + heavy1[1] * samples[2][rows] + cost @ wts
+        samples[3][rows] = kink @ wts
     return samples
 
 
@@ -235,13 +244,17 @@ def test_oracle_grids_cover_partial_tiles():
 
 
 def _grid_means(limits, dt, horizon):
-    """Exact means of the two discounted workload integrals on the grid,
-    computed as estimate_j_star computes them."""
+    """Exact means on the grid of the two discounted workload integrals and
+    of the discounted free kink, computed as estimate_j_star computes them."""
     n = bcp._grid_steps(dt, horizon)
     pdrift, pcov, _ = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
+    heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
+    ell = np.subtract(heavy3, heavy1)
     wts = bcp._discount_weights(limits.gamma, n, dt)
     t = np.arange(n) * dt
-    return np.array([wts @ bcp._reflected_mean(d, s, t) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))])
+    means = [wts @ bcp._reflected_mean(d, s, t) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))]
+    means.append(wts @ bcp._folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t))
+    return np.array(means)
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
@@ -254,15 +267,17 @@ def test_tiled_pass_is_bit_identical_to_the_vectorized_oracle(limits, bridge, gr
     samples = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
     # The marginals are plain means; with bridge minima the cost goes
     # through the library's one combiner.
-    want = [bcp._mc_summary(s) for s in samples]
+    want = [bcp._mc_summary(s) for s in samples[:3]]
     if bridge:
         want[0] = bcp._control_variate_summary(samples[0], np.stack(samples[1:]), _grid_means(limits, dt, horizon))
     got = [(_hex(e.mean), _hex(e.stderr)) for e in (est, *est.marginals)]
     assert got == [tuple(_hex(v) for v in s) for s in want]
 
 
-@pytest.mark.parametrize("bridge,n_paths", [(True, 2), (True, 3), (False, 4)])
+@pytest.mark.parametrize("bridge,n_paths", [(True, 2), (True, 3), (True, 4), (False, 4)])
 def test_cost_is_the_plain_mean_without_bridge_minima_or_below_four_paths(bridge, n_paths):
+    """Three controls leave no residual degree of freedom up to four paths,
+    so the bound now sits at five paths; the name keeps its old ids."""
     est = estimate_j_star(ASYMMETRIC_DRIFTED, dt=0.1, horizon=10.0, n_paths=n_paths, seed=5, bridge_minima=bridge)
     samples = _vectorized_j_star_samples(ASYMMETRIC_DRIFTED, 0.1, 10.0, n_paths, 5, bridge)
     assert (_hex(est.mean), _hex(est.stderr)) == tuple(_hex(v) for v in bcp._mc_summary(samples[0]))
@@ -279,8 +294,25 @@ def test_control_variates_cut_the_cost_stderr_without_moving_the_mean(limits):
     plain_mean, plain_se = bcp._mc_summary(samples[0])
     assert abs(est.mean - plain_mean) <= 3.0 * plain_se, (est.mean, plain_mean, plain_se)
     assert est.stderr <= plain_se / 3.0, (est.stderr, plain_se)
-    for marginal, mean in zip(est.marginals, _grid_means(limits, dt, horizon)):
+    for marginal, mean in zip(est.marginals, _grid_means(limits, dt, horizon)[:2]):
         assert abs(marginal.mean - mean) <= 3.0 * marginal.stderr, (marginal.mean, mean, marginal.stderr)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+def test_the_free_kink_control_cuts_the_two_control_stderr(limits):
+    """On the same 4000 paths the three-control cost has at most 0.8 of the
+    stderr of the cost with the two workload controls alone, and sits within
+    3 of those stderrs of it; the kink integral's plain mean sits within 3
+    stderrs of its exact grid mean."""
+    dt, horizon = 0.01, 15.0
+    est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=4000, seed=29)
+    samples = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
+    means = _grid_means(limits, dt, horizon)
+    two_mean, two_se = bcp._control_variate_summary(samples[0], np.stack(samples[1:3]), means[:2])
+    assert est.stderr <= 0.8 * two_se, (est.stderr, two_se)
+    assert abs(est.mean - two_mean) <= 3.0 * two_se, (est.mean, two_mean, two_se)
+    kink_mean, kink_se = bcp._mc_summary(samples[3])
+    assert abs(kink_mean - means[2]) <= 3.0 * kink_se, (kink_mean, means[2], kink_se)
 
 
 def test_control_variate_summary_is_the_regression_prediction_at_the_control_means():
@@ -348,3 +380,47 @@ def test_reflected_mean_tends_to_the_stationary_mean(drift, var):
     assert got[0] == 0.0
     assert got[1] < got[2]
     assert got[2] == pytest.approx(var / (2.0 * -drift), rel=1e-12)
+
+
+def _folded_mean_by_quadrature(drift, var, t):
+    """E |X| for X normal with mean drift t and variance var t, as the
+    integral over x > 0 of x (phi((x - drift t)/sd) + phi((x + drift t)/sd))/sd,
+    by 20-point Gauss-Legendre panels of a quarter sd up to |drift| t + 12 sd,
+    past which the density is below 1e-30."""
+    sd = math.sqrt(var * t)
+    upper = abs(drift) * t + 12.0 * sd
+    panels = math.ceil(upper / (sd / 4.0))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, upper, panels + 1)
+    half = 0.5 * np.diff(edges)
+    x = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+    density = np.exp(-0.5 * ((x - drift * t) / sd) ** 2) + np.exp(-0.5 * ((x + drift * t) / sd) ** 2)
+    integrand = x * density / (sd * math.sqrt(2.0 * math.pi))
+    return float((integrand.reshape(panels, 20) @ weights) @ half)
+
+
+@pytest.mark.parametrize(
+    "drift,var,t",
+    [
+        (0.0, 1.0, 1.0),
+        (0.0, 2.5, 0.37),
+        (1e-8, 1.0, 2.0),
+        (-1e-8, 2.0, 5.0),
+        (0.5, 1.0, 3.0),
+        (-0.5, 1.0, 3.0),
+        (1.25, 0.8, 0.5),
+        (-2.0, 0.5, 10.0),
+        (-0.25, 4.0, 0.01),
+    ],
+)
+def test_folded_mean_matches_quadrature_of_the_folded_normal_density(drift, var, t):
+    got = bcp._folded_mean(drift, math.sqrt(var), np.array([t]))[0]
+    assert got == pytest.approx(_folded_mean_by_quadrature(drift, var, t), abs=1e-7)
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-8, -0.75])
+def test_folded_mean_starts_at_zero_and_is_even_in_the_drift(drift):
+    t = np.array([0.0, 0.5, 7.0])
+    got = bcp._folded_mean(drift, 1.3, t)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, bcp._folded_mean(-drift, 1.3, t), rtol=1e-14)

@@ -67,22 +67,9 @@ def test_thresholds_lists_each_r(config_path, capsys):
 
 
 def test_converge_emits_reference_line_and_runs(config_path, capsys):
-    assert (
-        main(
-            [
-                "converge",
-                "--config",
-                config_path,
-                "--policies",
-                "threshold,priority2",
-                "--bcp-dt",
-                "0.05",
-                "--bcp-paths",
-                "100",
-            ]
-        )
-        == 0
-    )
+    argv = ["converge", "--config", config_path, "--policies", "threshold,priority2", "--bcp-dt", "0.05", "--bcp-paths", "100"]
+    with pytest.warns(UserWarning, match="below the guaranteed floor"):
+        assert main(argv) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert lines[0].startswith("# j_star mean=")
@@ -230,15 +217,21 @@ def test_a_rejected_converge_writes_one_json_line_on_stderr(tmp_path, overrides,
     the error line."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(GOOD, **overrides)), encoding="utf-8")
+    argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
+    assert _rejected_in_a_fresh_interpreter(argv)["error"] == "arguments"
+
+
+def _rejected_in_a_fresh_interpreter(argv):
+    """Run the CLI in a new process; it must exit 2 with nothing on stdout
+    and one JSON line on stderr, which is returned parsed."""
     src = str(Path(crisscross.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
     proc = subprocess.run([sys.executable, "-m", "crisscross.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert json.loads(lines[0])["error"] == "arguments"
+    return json.loads(lines[0])
 
 
 @pytest.mark.parametrize(
@@ -251,6 +244,14 @@ def test_a_size_too_large_to_allocate_exits_2(config_path, capsys, command, args
     draws before touching memory."""
     assert main([command, "--config", config_path, *args]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
+
+
+def test_a_path_count_past_the_buffer_limit_exits_2_with_one_json_line(config_path):
+    """In a fresh interpreter: the per-path integrals of 1e14 paths exceed the
+    buffer limit, which the pass names before allocating anything."""
+    payload = _rejected_in_a_fresh_interpreter(["bcp", "--config", config_path, "--dt", "0.5", "--paths", str(10**14)])
+    assert payload["error"] == "arguments"
+    assert "over the limit of 2 GiB" in payload["detail"]
 
 
 def test_unusable_r_exits_2(config_path, capsys):

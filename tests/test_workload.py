@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from crisscross.params import NetworkLimits, validate_limits
 from crisscross.workload import (
     BUFFER1_HEAVY,
     BUFFER3_HEAVY,
@@ -179,3 +182,35 @@ def test_reflection_is_idempotent():
     once = skorohod_reflect(path)
     twice = skorohod_reflect(once)
     np.testing.assert_allclose(twice.values, once.values)
+
+
+_RATES = st.floats(0.1, 10.0)
+_WORKLOADS = st.just(0.0) | st.floats(1e-200, 1e6)
+
+
+@st.composite
+def _valid_limits(draw):
+    """Limits that pass validate_limits: critical load through lam, and the
+    cost ordering h2 mu2 >= h1 mu1, h2 >= h3 and g1 = h1 mu1 - (h2 - h3) mu2 > 0
+    through h2 and h3 (up to rounding at the edges, which the test skips)."""
+    mu1, mu2 = draw(_RATES), draw(_RATES)
+    mu3 = mu2 * draw(st.floats(0.05, 0.95))
+    h1 = draw(_RATES)
+    h2 = h1 * mu1 / mu2 + draw(st.floats(0.0, 10.0))
+    h3 = h2 - (h1 * mu1 / mu2) * draw(st.floats(0.0, 0.99))
+    return NetworkLimits(lam=(mu1 * (1.0 - mu3 / mu2), mu3), mu=(mu1, mu2, mu3), h=(h1, h2, h3), gamma=1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(limits=_valid_limits(), w1=_WORKLOADS, w2=_WORKLOADS)
+def test_the_cost_is_heavy1_plus_the_kink_on_the_switching_line(limits, w1, w2):
+    """heavy1 . w + (l . w)+ with l = heavy3 - heavy1 is the cheapest queue
+    configuration's cost: l . w = (g1/mu2)(mu3 w2 - mu2 w1) with g1 > 0, so
+    the kink sits on the switching line. estimate_j_star forms its cost this
+    way."""
+    assume(validate_limits(limits).ok)
+    heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
+    ell = np.subtract(heavy3, heavy1)
+    kinked = heavy1[0] * w1 + heavy1[1] * w2 + max(ell[0] * w1 + ell[1] * w2, 0.0)
+    assert kinked == pytest.approx(effective_cost((w1, w2), limits.mu, limits.h).value, rel=1e-12, abs=0.0)
+    assert kinked == pytest.approx(lp_oracle((w1, w2), limits.mu, limits.h).value, rel=1e-12, abs=0.0)
