@@ -1,146 +1,22 @@
 """Crisscross network toolkit: parameters, workload geometry, threshold
-policies, event simulation, Brownian comparison, and cost experiments."""
-from .bcp import (
-    AdmissibilityReport,
-    CostEstimate,
-    LimitBm,
-    RbmPath,
-    admissibility_audit,
-    estimate_j_star,
-    optimal_queue_path,
-    simulate_rbm,
-)
-from .experiments import (
-    DiagnosticsReport,
-    DiscountedCostRun,
-    LdCheckRow,
-    PathCost,
-    SweepResult,
-    collapse_bound,
-    convergence_sweep,
-    discounted_cost,
-    estimate_cost,
-    fluid_allocation_gap,
-    ld_check,
-    reference_seed,
-    replicate,
-    replication_seed,
-    run_diagnostics,
-)
-from .params import (
-    Config,
-    ConfigError,
-    NetworkLimits,
-    RNetwork,
-    ThresholdConstants,
-    ValidationReport,
-    compute_threshold_constants,
-    kappa_bound,
-    load_config,
-    make_r_network,
-    poisson_rate_function,
-    validate_limits,
-    varsigma2,
-)
-from .policies import (
-    BUFFER1,
-    BUFFER2,
-    BUFFER3,
-    IDLE,
-    POLICY_NAMES,
-    PolicyAuditError,
-    indicator_form_audit,
-    make_policy,
-)
-from .simulate import (
-    ConservationReport,
-    ScaledTrajectory,
-    Trajectory,
-    check_conservation,
-    diffusion_scale,
-    fluid_scale,
-    simulate,
-    write_scaled_csv,
-)
-from .workload import (
-    LpSolution,
-    SamplePath,
-    WorkloadMatrix,
-    effective_cost,
-    effective_cost_coefficients,
-    lp_oracle,
-    skorohod_reflect,
-    skorohod_regulator,
-)
+policies, event simulation, Brownian comparison, and cost experiments.
+
+Each module's __all__ is its one list of public names; the package
+re-exports them all.
+"""
+from .params import *
+from .params import __all__ as _params
+from .workload import *
+from .workload import __all__ as _workload
+from .policies import *
+from .policies import __all__ as _policies
+from .simulate import *
+from .simulate import __all__ as _simulate
+from .bcp import *
+from .bcp import __all__ as _bcp
+from .experiments import *
+from .experiments import __all__ as _experiments
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # parameters
-    "NetworkLimits",
-    "RNetwork",
-    "ThresholdConstants",
-    "ValidationReport",
-    "Config",
-    "ConfigError",
-    "validate_limits",
-    "make_r_network",
-    "poisson_rate_function",
-    "varsigma2",
-    "compute_threshold_constants",
-    "kappa_bound",
-    "load_config",
-    # workload geometry
-    "WorkloadMatrix",
-    "LpSolution",
-    "SamplePath",
-    "effective_cost",
-    "effective_cost_coefficients",
-    "lp_oracle",
-    "skorohod_reflect",
-    "skorohod_regulator",
-    # policies
-    "IDLE",
-    "BUFFER1",
-    "BUFFER2",
-    "BUFFER3",
-    "indicator_form_audit",
-    "PolicyAuditError",
-    "make_policy",
-    "POLICY_NAMES",
-    # simulation
-    "Trajectory",
-    "ScaledTrajectory",
-    "ConservationReport",
-    "simulate",
-    "fluid_scale",
-    "diffusion_scale",
-    "check_conservation",
-    "write_scaled_csv",
-    # Brownian comparison
-    "LimitBm",
-    "RbmPath",
-    "CostEstimate",
-    "AdmissibilityReport",
-    "simulate_rbm",
-    "optimal_queue_path",
-    "estimate_j_star",
-    "admissibility_audit",
-    # experiments
-    "PathCost",
-    "DiscountedCostRun",
-    "SweepResult",
-    "DiagnosticsReport",
-    "LdCheckRow",
-    "discounted_cost",
-    "estimate_cost",
-    "convergence_sweep",
-    "run_diagnostics",
-    "collapse_bound",
-    "ld_check",
-    "fluid_allocation_gap",
-    "replication_seed",
-    "reference_seed",
-    "replicate",
-]
+__all__ = ["__version__", *_params, *_workload, *_policies, *_simulate, *_bcp, *_experiments]

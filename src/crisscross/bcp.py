@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
 from .params import NetworkLimits, validate_limits
-from .workload import WorkloadMatrix, effective_cost_coefficients
+from .simulate import SeedLike
+from .workload import WorkloadMatrix, cheapest_queues, effective_cost_coefficients
 
 __all__ = [
     "LimitBm",
@@ -29,8 +29,6 @@ __all__ = [
     "estimate_j_star",
     "admissibility_audit",
 ]
-
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 # Paths simulated per batch. The batch layout fixes the order of the random
 # draws, so changing it changes every estimate.
@@ -104,14 +102,6 @@ class RbmPath:
     dt: float
 
 
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def _grid_steps(dt: float, horizon: float) -> int:
     """Number of grid steps of length dt covering [0, horizon]; at least one."""
     if not (0.0 < dt < math.inf) or not (0.0 < horizon < math.inf):
@@ -165,7 +155,7 @@ def simulate_rbm(
     admissibility audits can run on the result.
     """
     n = _grid_steps(dt, horizon)
-    gen = _as_generator(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     bm = LimitBm.from_limits(limits)
     chol = bm.chol
     z = gen.standard_normal(size=(n, 3))
@@ -187,15 +177,7 @@ def simulate_rbm(
 
 def optimal_queue_path(path: RbmPath, limits: NetworkLimits) -> np.ndarray:
     """Cheapest queue configuration carrying the path's workloads, per step."""
-    mu1, mu2, mu3 = limits.mu
-    w1 = path.workload[:, 0]
-    w2 = path.workload[:, 1]
-    heavy3 = mu3 * w2 >= mu2 * w1
-    q = np.empty((w1.shape[0], 3))
-    q[:, 0] = np.where(heavy3, 0.0, (mu1 / mu2) * (mu2 * w1 - mu3 * w2))
-    q[:, 1] = np.where(heavy3, mu2 * w1, mu3 * w2)
-    q[:, 2] = np.where(heavy3, mu3 * w2 - mu2 * w1, 0.0)
-    return q
+    return cheapest_queues(path.workload, limits.mu)
 
 
 @dataclass(frozen=True)
@@ -356,7 +338,7 @@ def estimate_j_star(
             f"{n} steps x {n_paths} paths need {need / 2**30:.3g} GiB of batch buffers and per-path "
             f"integrals, over the limit of {_MAX_BATCH_BYTES / 2**30:g} GiB"
         )
-    gen = _as_generator(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
     bm = LimitBm.from_limits(limits)

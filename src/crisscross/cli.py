@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .bcp import estimate_j_star
-from .experiments import convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
-from .params import Config, ConfigError, compute_threshold_constants, is_seed, load_config, make_r_network
+from .bcp import CostEstimate, estimate_j_star
+from .experiments import DiagnosticsReport, LdCheckRow, convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
+from .params import Config, ConfigError, ThresholdConstants, compute_threshold_constants, is_seed, load_config, make_r_network
 from .policies import POLICY_NAMES
 from .simulate import SCALES, ScaledTrajectory, diffusion_scale, write_scaled_csv
 
@@ -33,6 +33,16 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return "%.17g" % x
+
+
+def _names(record_type, *skip: str) -> list[str]:
+    """Field names of a dataclass record in declaration order, the columns
+    or keys of its report."""
+    return [f.name for f in dataclasses.fields(record_type) if f.name not in skip]
+
+
+def _cells(record, names: list[str]) -> list[str]:
+    return [_fmt(getattr(record, name)) for name in names]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -108,12 +118,10 @@ def _cmd_bcp(cfg: Config, args, fh) -> None:
         bridge_minima=not args.no_bridge,
     )
     m1, m2 = ref.marginals
-    fh.write("quantity,mean,stderr,n_paths,dt,horizon,truncation_bound\n")
+    cols = _names(CostEstimate, "marginals")
+    fh.write(",".join(["quantity", *cols]) + "\n")
     for name, est in (("j_star", ref), ("workload1_marginal", m1), ("workload2_marginal", m2)):
-        fh.write(
-            "%s,%s,%s,%d,%s,%s,%s\n"
-            % (name, _fmt(est.mean), _fmt(est.stderr), est.n_paths, _fmt(est.dt), _fmt(est.horizon), _fmt(est.truncation_bound))
-        )
+        fh.write(",".join([name, *_cells(est, cols)]) + "\n")
 
 
 def _cmd_converge(cfg: Config, args, fh) -> None:
@@ -143,23 +151,8 @@ def _cmd_converge(cfg: Config, args, fh) -> None:
 
 def _cmd_thresholds(cfg: Config, args, fh) -> None:
     constants = compute_threshold_constants(cfg.limits)
-    fh.write(
-        "# constants theta3=%s rho2=%s c=%s K=%s d=%s theta=%s gamma4=%s ell_bar=%s kappa=%s\n"
-        % tuple(
-            _fmt(v)
-            for v in (
-                constants.theta3,
-                constants.rho2,
-                constants.c,
-                constants.K,
-                constants.d,
-                constants.theta,
-                constants.gamma4,
-                constants.ell_bar,
-                constants.kappa,
-            )
-        )
-    )
+    pairs = " ".join(f"{name}={_fmt(getattr(constants, name))}" for name in _names(ThresholdConstants))
+    fh.write(f"# constants {pairs}\n")
     fh.write("r,threshold_low,threshold_high\n")
     for r in cfg.r_list:
         net = make_r_network(cfg.limits, r, cfg.ell0, cfg.c)
@@ -170,9 +163,10 @@ def _cmd_ld_check(cfg: Config, args, fh) -> None:
     rate = cfg.limits.lam[0] if args.rate is None else args.rate
     t_grid = tuple(float(s) for s in args.t_grid.split(",") if s.strip())
     rows = ld_check(rate, args.eps, t_grid, args.samples, cfg.seed)
-    fh.write("t,empirical,bound,within\n")
+    cols = _names(LdCheckRow)
+    fh.write(",".join(cols) + "\n")
     for row in rows:
-        fh.write("%s,%s,%s,%s\n" % (_fmt(row.t), _fmt(row.empirical), _fmt(row.bound), _fmt(row.within)))
+        fh.write(",".join(_cells(row, cols)) + "\n")
 
 
 def _cmd_diagnostics(cfg: Config, args, fh) -> None:
@@ -182,19 +176,8 @@ def _cmd_diagnostics(cfg: Config, args, fh) -> None:
     traj = replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
     report = run_diagnostics(diffusion_scale(traj, net), net, constants, d=args.d, t_end=args.t_end)
     fh.write("key,value\n")
-    for key in (
-        "r",
-        "t_end",
-        "collapse_sup1",
-        "collapse_sup3",
-        "event_E_hit",
-        "idle_mass_Y",
-        "product_sup",
-        "collapse_level",
-        "idle_level",
-        "kappa",
-    ):
-        fh.write("%s,%s\n" % (key, _fmt(getattr(report, key))))
+    for key in _names(DiagnosticsReport):
+        fh.write(f"{key},{_fmt(getattr(report, key))}\n")
 
 
 _COMMANDS = {

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bcp import CostEstimate, estimate_j_star
+from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
 from .policies import PolicyFn, make_policy
 from .simulate import ScaledTrajectory, Trajectory, diffusion_scale, event_budget, simulate
@@ -130,8 +130,7 @@ def estimate_cost(
         cost = discounted_cost(diffusion_scale(traj, net), h, gamma)
         values[rep] = cost.value
         tails[rep] = cost.tail
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else None
+    mean, stderr = _mc_summary(values)
     return DiscountedCostRun(
         r=net.r,
         policy=policy,
@@ -236,6 +235,8 @@ def run_diagnostics(
         raise ValueError(f"t_end = {t_end!r} must be > 0")
     if d is None:
         d = constants.d
+    if not (0.0 <= d < math.inf):
+        raise ValueError(f"idleness guard level d = {d!r} must be finite and >= 0")
     r = scaled.r
     times = scaled.times
     in_window = times[:-1] < t_end if times.shape[0] > 1 else np.zeros(0, dtype=bool)
@@ -318,12 +319,15 @@ def ld_check(
         raise ValueError(f"need 0 < eps < rate, got eps = {eps!r}, rate = {rate!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be >= 1")
+    if len(t_grid) == 0:
+        raise ValueError("t_grid must hold at least one window length")
+    for t in t_grid:
+        if not (0.0 <= t < math.inf):
+            raise ValueError(f"window length t = {t!r} must be finite and >= 0")
     decay = varsigma2(rate, eps)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, _LD_TAG))))
     rows = []
     for t in t_grid:
-        if t < 0.0:
-            raise ValueError(f"window length t = {t!r} must be >= 0")
         counts = gen.poisson(rate * t, n_samples)
         hits = (counts >= (rate + eps) * t) | (counts <= (rate - eps) * t)
         empirical = float(hits.mean())

@@ -33,6 +33,8 @@ __all__ = [
     "event_budget",
 ]
 
+# What every random stream of the toolkit is seeded from. PCG64 seeds from
+# SeedSequence(seed) when given an int, so both name one stream.
 SeedLike = Union[int, np.random.SeedSequence]
 
 # Float tolerance of the clock identities in check_conservation.

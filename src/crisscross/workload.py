@@ -15,6 +15,7 @@ __all__ = [
     "SamplePath",
     "effective_cost",
     "effective_cost_coefficients",
+    "cheapest_queues",
     "lp_oracle",
     "skorohod_reflect",
     "skorohod_regulator",
@@ -61,30 +62,41 @@ def effective_cost_coefficients(
     return heavy3, heavy1
 
 
+def cheapest_queues(w: np.ndarray, mu: tuple[float, float, float]) -> np.ndarray:
+    """Cheapest queue configuration carrying workload w; w has shape (2,) or
+    (n, 2), the result (3,) or (n, 3).
+
+    The feasible set is z >= 0 with z1/mu1 + z2/mu2 = w1 and
+    (z2 + z3)/mu3 = w2. With a = mu2 w1 and b = mu3 w2 the minimizer is
+    z = ((mu1/mu2)(a - b)+, min(a, b), (b - a)+): exactly one of z1, z3 is
+    positive away from the boundary a = b, and on it both vanish.
+    """
+    w = np.asarray(w, dtype=float)
+    mu1, mu2, mu3 = mu
+    a = mu2 * w[..., 0]
+    b = mu3 * w[..., 1]
+    return np.stack([(mu1 / mu2) * np.maximum(a - b, 0.0), np.minimum(a, b), np.maximum(b - a, 0.0)], axis=-1)
+
+
 def effective_cost(
     w: tuple[float, float],
     mu: tuple[float, float, float],
     h: tuple[float, float, float],
 ) -> LpSolution:
-    """Cheapest queue configuration carrying workload w, in closed form.
-
-    The feasible set is z >= 0 with z1/mu1 + z2/mu2 = w1 and
-    (z2 + z3)/mu3 = w2. Exactly one of z1, z3 is positive away from the
-    boundary mu3 w2 = mu2 w1; on it both vanish.
-    """
+    """Cheapest queue configuration carrying workload w (cheapest_queues),
+    its holding cost and its side of the boundary mu3 w2 = mu2 w1."""
     w1, w2 = float(w[0]), float(w[1])
     if w1 < 0.0 or w2 < 0.0:
         raise ValueError(f"workloads must be nonnegative, got {w!r}")
-    mu1, mu2, mu3 = mu
+    _, mu2, mu3 = mu
     heavy3, heavy1 = effective_cost_coefficients(mu, h)
     if mu3 * w2 >= mu2 * w1:
-        z = (0.0, mu2 * w1, mu3 * w2 - mu2 * w1)
         a, bb = heavy3
         region = BUFFER3_HEAVY
     else:
-        z = (mu1 * w1 - (mu1 / mu2) * mu3 * w2, mu3 * w2, 0.0)
         a, bb = heavy1
         region = BUFFER1_HEAVY
+    z = tuple(float(zi) for zi in cheapest_queues((w1, w2), mu))
     return LpSolution(z=z, value=a * w1 + bb * w2, region=region)
 
 

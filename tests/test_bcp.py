@@ -112,6 +112,11 @@ def test_a_path_count_past_the_buffer_limit_is_refused():
         estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
 
 
+def test_an_int_seed_and_its_seed_sequence_name_one_stream():
+    a = estimate_j_star(LIMITS, dt=0.1, horizon=3.0, n_paths=20, seed=5)
+    assert a == estimate_j_star(LIMITS, dt=0.1, horizon=3.0, n_paths=20, seed=np.random.SeedSequence(5))
+
+
 def test_cheapest_queue_configuration_prices_the_workload():
     path = simulate_rbm(LIMITS, dt=0.02, horizon=40.0, seed=23)
     q = optimal_queue_path(path, LIMITS)
@@ -193,7 +198,7 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
     per batch of _BATCH_SIZE paths, one normal block, then one uniform
     block."""
     n = bcp._grid_steps(dt, horizon)
-    gen = bcp._as_generator(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
     pdrift, pcov, pchol = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)

@@ -254,6 +254,37 @@ def test_a_path_count_past_the_buffer_limit_exits_2_with_one_json_line(config_pa
     assert "over the limit of 2 GiB" in payload["detail"]
 
 
+@pytest.mark.parametrize("d", ["nan", "inf", "-1"])
+def test_diagnostics_rejects_a_guard_level_that_is_not_finite_and_nonnegative(config_path, capsys, d):
+    argv = ["diagnostics", "--config", config_path, "--r", "5", "--horizon-scaled", "0.3", "--d", d]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "arguments"
+    assert "idleness guard level" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "t_grid,message",
+    [
+        ("nan", "window length"),
+        ("inf", "window length"),
+        ("5,-inf", "window length"),
+        ("-1", "window length"),
+        ("", "at least one window length"),
+        (",", "at least one window length"),
+    ],
+)
+def test_ld_check_rejects_an_unusable_window_grid(config_path, capsys, t_grid, message):
+    assert main(["ld-check", "--config", config_path, "--t-grid", t_grid, "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "arguments"
+    assert message in payload["detail"]
+
+
 def test_unusable_r_exits_2(config_path, capsys):
     assert main(["simulate", "--config", config_path, "--r", "1"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

@@ -160,6 +160,11 @@ def test_poisson_tail_domain_errors():
         ld_check(1.0, 0.5, (1.0,), 0, seed=0)
     with pytest.raises(ValueError):
         ld_check(1.0, 0.5, (-1.0,), 10, seed=0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="window length"):
+            ld_check(1.0, 0.5, (1.0, t), 10, seed=0)
+    with pytest.raises(ValueError, match="at least one window length"):
+        ld_check(1.0, 0.5, (), 10, seed=0)
 
 
 def test_fluid_allocations_approach_the_critical_profile():
@@ -217,6 +222,9 @@ def test_diagnostics_argument_checks(constants):
         run_diagnostics(fluid_scale(traj, net), net, constants, t_end=1.0)
     with pytest.raises(ValueError):
         run_diagnostics(diffusion_scale(traj, net), net, constants, t_end=0.0)
+    for d in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="idleness guard level"):
+            run_diagnostics(diffusion_scale(traj, net), net, constants, d=d, t_end=1.0)
 
 
 def test_diagnostics_idle_mass_counts_guarded_idleness(constants):

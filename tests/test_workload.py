@@ -11,6 +11,7 @@ from crisscross.workload import (
     BUFFER3_HEAVY,
     SamplePath,
     WorkloadMatrix,
+    cheapest_queues,
     effective_cost,
     effective_cost_coefficients,
     lp_oracle,
@@ -62,6 +63,16 @@ def test_effective_cost_worked_examples(w, z, value, region):
 def test_effective_cost_rejects_negative_workload():
     with pytest.raises(ValueError):
         effective_cost((-0.1, 1.0), MU, H)
+
+
+def test_cheapest_queues_on_rows_matches_the_single_workload_form_and_the_oracle():
+    w = _random_workloads(200, 41)
+    for mu, h in ((MU, H), (MU_ASYM, H_ASYM)):
+        z = cheapest_queues(w, mu)
+        assert z.shape == (200, 3)
+        for k in range(w.shape[0]):
+            assert np.array_equal(z[k], cheapest_queues(w[k], mu))
+            np.testing.assert_allclose(z[k], lp_oracle(tuple(w[k]), mu, h).z, rtol=1e-12, atol=1e-12)
 
 
 def _random_workloads(n, seed):
