@@ -51,8 +51,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as ValueError, not printed, so
+    that main reports them as its one JSON line; the subcommand parsers are
+    of this class too. --help still prints and exits 0."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crisscross",
         description="Simulate and analyse the two-server crisscross network under logarithmic-threshold control.",
     )
@@ -191,8 +200,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
             if not is_seed(args.seed):

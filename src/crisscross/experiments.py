@@ -14,8 +14,8 @@ import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
-from .policies import PolicyFn, make_policy
-from .simulate import ScaledTrajectory, Trajectory, diffusion_scale, event_budget, simulate
+from .policies import BUFFER1, BUFFER2, BUFFER3, PolicyFn, make_policy
+from .simulate import _MOVES, ScaledTrajectory, Trajectory, _clock_rate, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -111,25 +111,29 @@ def estimate_cost(
     n_reps: int,
     seed: int,
 ) -> DiscountedCostRun:
-    """Replicate the simulator and integrate the discounted cost per run.
+    """Discounted diffusion-scaled cost of policy on net over horizon_scaled,
+    averaged over n_reps replications of the uniformized jump chain.
 
-    Replication k uses substreams derived from (seed, r, k) alone, so
-    different policies see identical arrival streams (common random
-    numbers); see replicate.
+    Each replication's cost is the mean, given its jump chain, of what
+    discounted_cost integrates along a simulated path, so the estimand is
+    the same; see _chain_cost. Replication k draws its uniforms from
+    replication_seed(seed, r, k) alone, so different policies see the same
+    uniforms (common random numbers). A run that event_budget refuses is
+    refused before anything is allocated.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
     if not (horizon_scaled > 0.0):
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
+    if not (gamma > 0.0):
+        raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
     policy_fn = make_policy(policy, net)
+    weights = _chain_weights(net, gamma, horizon_scaled)
 
     values = np.empty(n_reps)
     tails = np.empty(n_reps)
     for rep in range(n_reps):
-        traj = replicate(net, policy_fn, horizon_scaled, seed, rep)
-        cost = discounted_cost(diffusion_scale(traj, net), h, gamma)
-        values[rep] = cost.value
-        tails[rep] = cost.tail
+        values[rep], tails[rep] = _chain_cost(net, policy_fn, weights, h, replication_seed(seed, net.r, rep))
     mean, stderr = _mc_summary(values)
     return DiscountedCostRun(
         r=net.r,
@@ -142,6 +146,179 @@ def estimate_cost(
         threshold_low=net.threshold_low,
         threshold_high=net.threshold_high,
     )
+
+
+# Steps of the uniformized chain per numpy pass of _chain_cost. Its buffers
+# hold O(_CHAIN_BLOCK) values at any r, and no estimate depends on it.
+_CHAIN_BLOCK = 1 << 14
+
+# Step codes of the chain index the queue moves of simulate's event order
+# (arrival 1, arrival 2, service at buffer 1, 2 and 3), plus a fictitious step.
+_STEP_MOVES = np.vstack([_MOVES, np.zeros((1, 3), dtype=np.int64)])
+_FICTITIOUS = len(_MOVES)
+
+
+def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
+    """(lo, p) with p[i] = P(Pois(mean) = lo + i) on the window
+    mean +- (12 sqrt(mean) + 20), which holds all but < 1e-15 of the mass;
+    p is normalized over the window. Neighbour ratios mean/k are multiplied
+    out as a cumulative sum of logs, so no factorial is formed."""
+    spread = 12.0 * math.sqrt(mean) + 20.0
+    lo = max(0, math.floor(mean - spread))
+    hi = math.ceil(mean + spread)
+    log_p = np.zeros(hi - lo)
+    np.cumsum(np.log(mean / np.arange(lo + 1, hi)), out=log_p[1:])
+    p = np.exp(log_p - log_p.max())
+    return lo, p / p.sum()
+
+
+def _on_window(start: int, stop: int, lo: int, vals: np.ndarray, below: float) -> np.ndarray:
+    """vals[k - lo] for k in [start, stop): below under the window, 0 past it."""
+    out = np.zeros(stop - start)
+    i, j = (min(max(edge - start, 0), stop - start) for edge in (lo, lo + vals.shape[0]))
+    out[:i] = below
+    out[i:j] = vals[start + i - lo : start + j - lo]
+    return out
+
+
+@dataclass(frozen=True)
+class _ChainWeights:
+    """Holding-time weights of the uniformized chain, shared by every
+    replication of one (network, discount, horizon).
+
+    The chain jumps at the epochs T_k of a Poisson clock of rate L
+    (_clock_rate), so its k-th state Q_k is held over [T_k, T_k+1). With
+    g = gamma/r^2 and U = r^2 H, integrating the clock out gives, given the
+    chain, E int_0^U e^(-gu) h.Q(u) du = sum_k c_k h.Q_k with
+    c_k = rho^k/(L+g) P(Pois((L+g)U) >= k+1), rho = L/(L+g), and the state
+    at U is Q_k with probability P(Pois(LU) = k). Past
+    n_steps = ceil(m + 12 sqrt(m) + 20), m = (L+g)U, both fall below 1e-15.
+    """
+
+    n_steps: int
+    log_rho: float
+    inv_rate: float
+    surv_lo: int
+    surv: np.ndarray      # P(Pois((L+g)U) >= k+1) on [surv_lo, n_steps); 1 below
+    end_lo: int
+    end_pmf: np.ndarray   # P(Pois(LU) = k) on [end_lo, end_lo + len); 0 outside
+    value_scale: float    # r^-3: diffusion amplitude 1/r, time 1/r^2
+    end_scale: float      # e^(-gamma H)/(r gamma): the final state held forever
+
+    def value(self, start: int, stop: int) -> np.ndarray:
+        """c_k for k in [start, stop)."""
+        rho_k = np.exp(np.arange(start, stop) * self.log_rho)
+        return rho_k * self.inv_rate * _on_window(start, stop, self.surv_lo, self.surv, 1.0)
+
+    def end(self, start: int, stop: int) -> np.ndarray:
+        """P(Pois(LU) = k) for k in [start, stop)."""
+        return _on_window(start, stop, self.end_lo, self.end_pmf, 0.0)
+
+
+def _chain_weights(net: RNetwork, gamma: float, horizon_scaled: float) -> _ChainWeights:
+    """The weights of _ChainWeights; event_budget refuses an over-long run
+    first, before any weight is formed."""
+    horizon = net.r * net.r * horizon_scaled
+    event_budget(net, horizon)
+    rate = _clock_rate(net)
+    g = gamma / (net.r * net.r)
+    surv_lo, pmf = _poisson_window((rate + g) * horizon)
+    surv = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)
+    end_lo, end_pmf = _poisson_window(rate * horizon)
+    return _ChainWeights(
+        n_steps=surv_lo + pmf.shape[0],
+        log_rho=-math.log1p(g / rate),
+        inv_rate=1.0 / (rate + g),
+        surv_lo=surv_lo,
+        surv=surv,
+        end_lo=end_lo,
+        end_pmf=end_pmf,
+        value_scale=net.r**-3,
+        end_scale=math.exp(-gamma * horizon_scaled) / (net.r * gamma),
+    )
+
+
+def _carried_sum(carry: float, terms: np.ndarray) -> float:
+    """carry + terms[0] + terms[1] + ..., added left to right, so a sum
+    carried across blocks has the bits of one sum over all of them."""
+    terms[0] += carry
+    return float(np.cumsum(terms)[-1])
+
+
+def _chain_cost(
+    net: RNetwork,
+    policy_fn: PolicyFn,
+    weights: _ChainWeights,
+    h: Sequence[float],
+    seed: np.random.SeedSequence,
+    block: int = _CHAIN_BLOCK,
+) -> PathCost:
+    """One replication's discounted cost on the uniformized jump chain,
+    with the holding times integrated out (_ChainWeights).
+
+    Each step draws one uniform, scaled to [0, L), which falls in one of
+    four bands: arrival 1 (width lam1), arrival 2 (lam2), server 1
+    (max(mu1, mu2)) and server 2 (mu3). In server 1's band, the buffer
+    policy_fn assigns it is served when the uniform lies in the band's
+    first mu of that buffer; in server 2's band, buffer 3 is served when
+    policy_fn assigns it; any other step is fictitious. Arrival steps do
+    not depend on the state, so numpy classifies and counts them per block,
+    and the Python loop visits only the service bands. The steps run in
+    blocks of `block`; the uniforms are one stream and every sum is carried
+    left to right, so the bits do not depend on `block`.
+    """
+    lam1, lam2 = net.lam
+    mu1, mu2, _ = net.mu
+    edge1 = lam1 + lam2
+    serve1, serve2 = edge1 + mu1, edge1 + mu2
+    edge2 = edge1 + max(mu1, mu2)
+    rate = _clock_rate(net)
+    h1, h2, h3 = (float(x) for x in h)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    q1 = q2 = q3 = 0
+    value = end = 0.0
+    for start in range(0, weights.n_steps, block):
+        stop = min(start + block, weights.n_steps)
+        x = gen.random(stop - start) * rate
+        arrive1 = x < lam1
+        arrive2 = (x < edge1) & ~arrive1
+        code = np.where(arrive1, 0, np.where(arrive2, 1, _FICTITIOUS))
+        service = np.flatnonzero(x >= edge1)
+        # At a service step, the queue counts before the step include every
+        # arrival up to it.
+        count1 = (np.cumsum(arrive1)[service] + q1).tolist()
+        count2 = (np.cumsum(arrive2)[service] + q2).tolist()
+        codes = []
+        push = codes.append
+        d1 = d2 = 0  # services at buffers 1 and 2 so far in the block
+        level3 = q3
+        for c1, c2, y in zip(count1, count2, x[service].tolist()):
+            a1, a2 = policy_fn(c1 - d1, c2 - d2, level3)
+            if y < edge2:
+                if a1 == BUFFER1 and y < serve1:
+                    d1 += 1
+                    push(2)
+                elif a1 == BUFFER2 and y < serve2:
+                    d2 += 1
+                    level3 += 1
+                    push(3)
+                else:
+                    push(_FICTITIOUS)
+            elif a2 == BUFFER3:
+                level3 -= 1
+                push(4)
+            else:
+                push(_FICTITIOUS)
+        code[service] = codes
+        moves = _STEP_MOVES[code]
+        queues = np.cumsum(moves, axis=0)
+        queues -= moves
+        queues += (q1, q2, q3)  # the state before each step
+        q1, q2, q3 = (int(v) for v in queues[-1] + moves[-1])
+        hq = h1 * queues[:, 0] + h2 * queues[:, 1] + h3 * queues[:, 2]
+        value = _carried_sum(value, weights.value(start, stop) * hq)
+        end = _carried_sum(end, weights.end(start, stop) * hq)
+    return PathCost(value * weights.value_scale, end * weights.end_scale)
 
 
 @dataclass(frozen=True)

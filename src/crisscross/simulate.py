@@ -121,13 +121,18 @@ def _exp_source(gen: np.random.Generator, rate: float, chunk: int = 8192):
     return draw
 
 
+def _clock_rate(net: RNetwork) -> float:
+    """Total event rate with server 1 at its faster service rate: a bound on
+    every state's event rate, and the clock of the uniformized chain."""
+    return net.lam[0] + net.lam[1] + max(net.mu[0], net.mu[1]) + net.mu[2]
+
+
 def event_budget(net: RNetwork, horizon: float) -> float:
     """Estimated events of a run over [0, horizon] (unscaled time): the total
     event rate, with server 1 at its faster service rate, times the horizon.
     Raises ValueError above _MAX_EVENTS, before anything is simulated.
     """
-    rate = net.lam[0] + net.lam[1] + max(net.mu[0], net.mu[1]) + net.mu[2]
-    events = rate * horizon
+    events = _clock_rate(net) * horizon
     if events > _MAX_EVENTS:
         raise ValueError(
             f"r = {net.r!r} over horizon {horizon!r} needs about {events:.3g} events, "

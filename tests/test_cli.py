@@ -196,8 +196,9 @@ def test_unknown_policy_exits_2(config_path, capsys):
 )
 def test_converge_rejects_bad_input_before_simulating(tmp_path, capsys, monkeypatch, overrides, args):
     calls = []
-    real = crisscross.experiments.simulate
-    monkeypatch.setattr(crisscross.experiments, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for name in ("simulate", "_chain_cost"):
+        real = getattr(crisscross.experiments, name)
+        monkeypatch.setattr(crisscross.experiments, name, lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(GOOD, **overrides)), encoding="utf-8")
     argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
@@ -219,6 +220,32 @@ def test_a_rejected_converge_writes_one_json_line_on_stderr(tmp_path, overrides,
     path.write_text(json.dumps(dict(GOOD, **overrides)), encoding="utf-8")
     argv = ["converge", "--config", str(path), "--bcp-dt", "0.05", "--bcp-paths", "100", *args]
     assert _rejected_in_a_fresh_interpreter(argv)["error"] == "arguments"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagnostics", "--r", "abc"],
+        ["ld-check", "--t-grid", "-1,5"],
+        ["converge", "--bcp-paths", "x"],
+        ["converge", "--no-such-flag"],
+        [],
+    ],
+    ids=["not-a-float", "looks-like-an-option", "not-an-int", "unknown-flag", "no-command"],
+)
+def test_an_argument_the_parser_rejects_exits_2_with_one_json_line(config_path, args):
+    """In a fresh interpreter: argparse's own errors, in the main parser and
+    in the subcommand parsers, give the same JSON line as every other
+    rejected argument, not argparse's usage text."""
+    argv = [*args, "--config", config_path] if args else []
+    assert _rejected_in_a_fresh_interpreter(argv)["error"] == "arguments"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["converge", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: crisscross converge")
 
 
 def _rejected_in_a_fresh_interpreter(argv):

@@ -1,24 +1,33 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crisscross.experiments import (
+    _CHAIN_BLOCK,
+    _chain_cost,
+    _chain_weights,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
     estimate_cost,
     fluid_allocation_gap,
     ld_check,
+    replicate,
     replication_seed,
     run_diagnostics,
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.simulate import ScaledTrajectory, Trajectory, diffusion_scale, fluid_scale, simulate
+from crisscross.policies import BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
+from crisscross.simulate import ScaledTrajectory, Trajectory, _clock_rate, diffusion_scale, fluid_scale, simulate
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
+ASYMMETRIC_DRIFTED = NetworkLimits(
+    lam=(0.8, 1.8), mu=(2.0, 3.0, 1.8), h=(1.2, 1.0, 0.6), gamma=1.0, b=(0.5, -0.25, 0.75)
+)
 
 
 _UNIT_NET = RNetwork(
@@ -101,6 +110,145 @@ def test_estimate_cost_argument_checks():
         estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.5, 0, seed=0)
     with pytest.raises(ValueError):
         estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.0, 2, seed=0)
+    with pytest.raises(ValueError, match="discount rate"):
+        estimate_cost(net, "threshold", 0.0, LIMITS.h, 0.5, 2, seed=0)
+
+
+def _poisson_outside(mean, lo, hi):
+    """Upper bound on P(Pois(mean) < lo) + P(Pois(mean) >= hi), from
+    log-gamma rather than the cumulative sums of the chain weights: past an
+    edge the pmf falls at least geometrically, by the neighbour ratio at
+    the edge."""
+    pmf = lambda k: math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
+    below = pmf(lo - 1) / (1.0 - (lo - 1) / mean) if lo > 0 else 0.0
+    return below + pmf(hi) / (1.0 - mean / (hi + 1))
+
+
+@pytest.mark.parametrize("r", [5.0, 40.0, 160.0])
+def test_chain_weights_integrate_the_holding_times_exactly(r):
+    """Summed against k^0 and k^1 the holding-time weights must give the
+    discounted integrals of 1 and of the expected arrival count lam1 u,
+    and the end-state weights a distribution; the truncation drops < 1e-15
+    of either Poisson law."""
+    net = make_r_network(LIMITS, r, 1.2, 3.0)
+    weights = _chain_weights(net, LIMITS.gamma, 15.0)
+    n = weights.n_steps
+    c, end = weights.value(0, n), weights.end(0, n)
+    g, u, rate, lam1 = LIMITS.gamma / r**2, r * r * 15.0, _clock_rate(net), net.lam[0]
+    assert c.sum() == pytest.approx((1.0 - math.exp(-g * u)) / g, rel=1e-9, abs=0.0)
+    first_moment = c @ np.arange(n) * lam1 / rate
+    assert first_moment == pytest.approx(lam1 * (1.0 - math.exp(-g * u) * (1.0 + g * u)) / g**2, rel=1e-9, abs=0.0)
+    assert end.sum() == pytest.approx(1.0, rel=1e-9, abs=0.0)
+    assert _poisson_outside((rate + g) * u, weights.surv_lo, n) < 1e-15
+    assert _poisson_outside(rate * u, weights.end_lo, weights.end_lo + weights.end_pmf.size) < 1e-15
+
+
+def _chain_samples(net, policy_fn, h, gamma, horizon_scaled, n_reps, seed):
+    weights = _chain_weights(net, gamma, horizon_scaled)
+    return np.array([_chain_cost(net, policy_fn, weights, h, replication_seed(seed, net.r, k)).value for k in range(n_reps)])
+
+
+def _mean_and_stderr(samples):
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
+
+
+def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
+    """Test-only oracle of _chain_cost: one Python loop over every step on
+    the same uniforms, consulting the policy at each, and one dot product
+    per weight vector."""
+    lam1, lam2 = net.lam
+    mu1, mu2, _ = net.mu
+    n = weights.n_steps
+    x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
+    q1 = q2 = q3 = 0
+    hq = np.empty(n)
+    for k, u in enumerate(x.tolist()):
+        hq[k] = h[0] * q1 + h[1] * q2 + h[2] * q3
+        a1, a2 = policy_fn(q1, q2, q3)
+        if u < lam1:
+            q1 += 1
+        elif u < lam1 + lam2:
+            q2 += 1
+        elif u < lam1 + lam2 + max(mu1, mu2):
+            if a1 == BUFFER1 and u < lam1 + lam2 + mu1:
+                q1 -= 1
+            elif a1 == BUFFER2 and u < lam1 + lam2 + mu2:
+                q2, q3 = q2 - 1, q3 + 1
+        elif a2 == BUFFER3:
+            q3 -= 1
+    return weights.value(0, n) @ hq * weights.value_scale, weights.end(0, n) @ hq * weights.end_scale
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
+    net = make_r_network(limits, 10.0, 1.2, 3.0)
+    policy_fn = make_policy(policy, net)
+    weights = _chain_weights(net, limits.gamma, 15.0)
+    for rep in range(3):
+        seed = replication_seed(5, net.r, rep)
+        value, end = _chain_cost(net, policy_fn, weights, limits.h, seed)
+        want_value, want_end = _stepwise_chain_cost(net, policy_fn, weights, limits.h, seed)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert end == pytest.approx(want_end, rel=1e-12)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_chain_cost_agrees_with_the_event_engine(limits, policy):
+    """The chain's cost is the event engine's path cost averaged over the
+    holding times, so their means agree; the two use separate seeds."""
+    net = make_r_network(limits, 5.0, 1.2, 3.0)
+    policy_fn = make_policy(policy, net)
+    n_reps, horizon_scaled = 600, 2.0
+    chain = _chain_samples(net, policy_fn, limits.h, limits.gamma, horizon_scaled, n_reps, seed=11)
+    events = np.array(
+        [
+            discounted_cost(diffusion_scale(replicate(net, policy_fn, horizon_scaled, 12, k), net), limits.h, limits.gamma).value
+            for k in range(n_reps)
+        ]
+    )
+    (m_chain, se_chain), (m_events, se_events) = _mean_and_stderr(chain), _mean_and_stderr(events)
+    assert abs(m_chain - m_events) <= 4.0 * math.hypot(se_chain, se_events), (m_chain, se_chain, m_events, se_events)
+
+
+def test_chain_cost_of_the_idle_policy_has_its_closed_form_mean():
+    """Nothing is served, so h.Q = Q1 is the arrival-1 count, whose
+    discounted integral has mean lam1 int_0^U e^(-gu) u du / r^3."""
+    r, horizon_scaled = 5.0, 15.0
+    net = make_r_network(LIMITS, r, 1.2, 3.0)
+    samples = _chain_samples(net, lambda q1, q2, q3: (IDLE, IDLE), (1.0, 0.0, 0.0), LIMITS.gamma, horizon_scaled, 400, seed=13)
+    g, u = LIMITS.gamma / r**2, r * r * horizon_scaled
+    exact = net.lam[0] * (1.0 - math.exp(-g * u) * (1.0 + g * u)) / g**2 / r**3
+    mean, stderr = _mean_and_stderr(samples)
+    assert abs(mean - exact) <= 4.0 * stderr, (mean, stderr, exact)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_chain_cost_bits_do_not_depend_on_the_block_size(policy):
+    net = make_r_network(ASYMMETRIC_DRIFTED, 20.0, 1.2, 3.0)
+    weights = _chain_weights(net, ASYMMETRIC_DRIFTED.gamma, 15.0)
+    assert weights.n_steps > 2 * _CHAIN_BLOCK
+    policy_fn = make_policy(policy, net)
+    costs = {
+        block: _chain_cost(net, policy_fn, weights, ASYMMETRIC_DRIFTED.h, replication_seed(3, 20.0, 0), block)
+        for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps)
+    }
+    assert len(set(costs.values())) == 1, costs
+
+
+def test_estimate_cost_refuses_a_run_past_the_event_limit_before_allocating():
+    """r = 300 over 15 needs ~6.8M steps; the Poisson windows of its weights
+    alone would take over 1 MB, the refusal about 2 kB."""
+    net = make_r_network(LIMITS, 300.0, 1.2, 3.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the limit"):
+            estimate_cost(net, "threshold", 1.0, LIMITS.h, 15.0, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def _tiny_sweep(policies, r_list):
