@@ -14,8 +14,8 @@ import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
-from .policies import BUFFER1, BUFFER2, BUFFER3, PolicyFn, make_policy
-from .simulate import _MOVES, ScaledTrajectory, Trajectory, _clock_rate, event_budget, simulate
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, make_policy
+from .simulate import ScaledTrajectory, Trajectory, _clock_rate, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -127,13 +127,13 @@ def estimate_cost(
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
     if not (gamma > 0.0):
         raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
-    policy_fn = make_policy(policy, net)
+    make_policy(policy, net)  # rejects an unknown name
     weights = _chain_weights(net, gamma, horizon_scaled)
 
     values = np.empty(n_reps)
     tails = np.empty(n_reps)
     for rep in range(n_reps):
-        values[rep], tails[rep] = _chain_cost(net, policy_fn, weights, h, replication_seed(seed, net.r, rep))
+        values[rep], tails[rep] = _chain_cost(net, policy, weights, h, replication_seed(seed, net.r, rep))
     mean, stderr = _mc_summary(values)
     return DiscountedCostRun(
         r=net.r,
@@ -151,11 +151,6 @@ def estimate_cost(
 # Steps of the uniformized chain per numpy pass of _chain_cost. Its buffers
 # hold O(_CHAIN_BLOCK) values at any r, and no estimate depends on it.
 _CHAIN_BLOCK = 1 << 14
-
-# Step codes of the chain index the queue moves of simulate's event order
-# (arrival 1, arrival 2, service at buffer 1, 2 and 3), plus a fictitious step.
-_STEP_MOVES = np.vstack([_MOVES, np.zeros((1, 3), dtype=np.int64)])
-_FICTITIOUS = len(_MOVES)
 
 
 def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
@@ -245,9 +240,71 @@ def _carried_sum(carry: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
+def _reflect(q0: int, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lindley's recursion q_k = max(q_{k-1} + inc_k, 0) from q0 >= 0: the
+    queue before and after each step. The reflected walk is the free walk
+    q0 + cumsum(inc) less its running minimum where that is below 0, so it
+    is exact on integers."""
+    post = np.cumsum(inc, dtype=np.int64)
+    post += q0
+    post -= np.minimum(np.minimum.accumulate(post), 0)
+    pre = np.empty_like(post)
+    pre[0] = q0
+    pre[1:] = post[:-1]
+    return pre, post
+
+
+def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The steps of mask up less those of mask down, as -1/0/1 increments."""
+    return up.view(np.int8) - down.view(np.int8)
+
+
+def _called_services(
+    policy_fn: PolicyFn,
+    q: dict[int, int],
+    x: np.ndarray,
+    arrive: dict[int, np.ndarray],
+    band1: np.ndarray,
+    band2: np.ndarray,
+    serve: dict[int, float],
+) -> dict[int, np.ndarray]:
+    """The services at buffers 1 and 2 in one block of _chain_cost, with
+    policy_fn called at each server-1 band step, from the queues q before
+    the block.
+
+    Between two such steps buffer 3 meets only server-2 band steps, each of
+    which serves it if it is nonempty, so at a call its level is the last
+    one less the server-2 band steps since, floored at 0.
+    """
+    steps = np.flatnonzero(band1)
+    count1 = (np.cumsum(arrive[BUFFER1])[steps] + q[BUFFER1]).tolist()
+    count2 = (np.cumsum(arrive[BUFFER2])[steps] + q[BUFFER2]).tolist()
+    drains = np.diff(np.cumsum(band2)[steps], prepend=0).tolist()
+    serve1, serve2 = serve[BUFFER1], serve[BUFFER2]
+    codes = []
+    push = codes.append
+    d1 = d2 = 0  # services at buffers 1 and 2 so far in the block
+    level3 = q[BUFFER3]
+    for c1, c2, n, y in zip(count1, count2, drains, x[steps].tolist()):
+        level3 = level3 - n if level3 > n else 0
+        a1 = policy_fn(c1 - d1, c2 - d2, level3)[0]
+        if a1 == BUFFER1 and y < serve1:
+            d1 += 1
+            push(BUFFER1)
+        elif a1 == BUFFER2 and y < serve2:
+            d2 += 1
+            level3 += 1
+            push(BUFFER2)
+        else:
+            push(IDLE)
+    server1 = np.zeros(x.shape[0], dtype=np.int8)
+    server1[steps] = codes
+    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
+
+
 def _chain_cost(
     net: RNetwork,
-    policy_fn: PolicyFn,
+    policy: str | PolicyFn,
     weights: _ChainWeights,
     h: Sequence[float],
     seed: np.random.SeedSequence,
@@ -258,64 +315,65 @@ def _chain_cost(
 
     Each step draws one uniform, scaled to [0, L), which falls in one of
     four bands: arrival 1 (width lam1), arrival 2 (lam2), server 1
-    (max(mu1, mu2)) and server 2 (mu3). In server 1's band, the buffer
-    policy_fn assigns it is served when the uniform lies in the band's
-    first mu of that buffer; in server 2's band, buffer 3 is served when
-    policy_fn assigns it; any other step is fictitious. Arrival steps do
-    not depend on the state, so numpy classifies and counts them per block,
-    and the Python loop visits only the service bands. The steps run in
-    blocks of `block`; the uniforms are one stream and every sum is carried
-    left to right, so the bits do not depend on `block`.
+    (max(mu1, mu2)) and server 2 (mu3). In server 1's band, the buffer the
+    policy assigns it is served when the uniform lies in the band's first
+    mu of that buffer; in server 2's band, buffer 3 is served when it is
+    nonempty; any other step is fictitious.
+
+    Each queue is a Lindley reflection (_reflect) of its arrivals less the
+    steps that may serve it, so a block needs no per-step Python except
+    where a rule must be called:
+
+    - Server 2 never idles while its buffer is nonempty, under every rule
+      here (see the policies module). So under every rule, buffer 3
+      reflects the buffer-2 services less the server-2 band steps, and a
+      closure's server-2 choice is not consulted.
+    - Under a static priority (a name in _PRIORITY_ORDER), the preferred
+      buffer may be served at its steps in server 1's band, and the other
+      buffer at its steps there where the preferred one is empty: three
+      cascaded reflections.
+    - Any other rule, a name or a PolicyFn, is called once per server-1
+      band step (_called_services), and the reflections of buffers 1 and 2
+      never bind.
+
+    The steps run in blocks of `block`; the uniforms are one stream and
+    every sum is carried left to right, so the bits do not depend on
+    `block`.
     """
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
     edge1 = lam1 + lam2
-    serve1, serve2 = edge1 + mu1, edge1 + mu2
+    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
     edge2 = edge1 + max(mu1, mu2)
     rate = _clock_rate(net)
+    order = _PRIORITY_ORDER.get(policy) if isinstance(policy, str) else None
+    policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
     h1, h2, h3 = (float(x) for x in h)
     gen = np.random.Generator(np.random.PCG64(seed))
-    q1 = q2 = q3 = 0
+    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
     value = end = 0.0
     for start in range(0, weights.n_steps, block):
         stop = min(start + block, weights.n_steps)
         x = gen.random(stop - start) * rate
         arrive1 = x < lam1
-        arrive2 = (x < edge1) & ~arrive1
-        code = np.where(arrive1, 0, np.where(arrive2, 1, _FICTITIOUS))
-        service = np.flatnonzero(x >= edge1)
-        # At a service step, the queue counts before the step include every
-        # arrival up to it.
-        count1 = (np.cumsum(arrive1)[service] + q1).tolist()
-        count2 = (np.cumsum(arrive2)[service] + q2).tolist()
-        codes = []
-        push = codes.append
-        d1 = d2 = 0  # services at buffers 1 and 2 so far in the block
-        level3 = q3
-        for c1, c2, y in zip(count1, count2, x[service].tolist()):
-            a1, a2 = policy_fn(c1 - d1, c2 - d2, level3)
-            if y < edge2:
-                if a1 == BUFFER1 and y < serve1:
-                    d1 += 1
-                    push(2)
-                elif a1 == BUFFER2 and y < serve2:
-                    d2 += 1
-                    level3 += 1
-                    push(3)
-                else:
-                    push(_FICTITIOUS)
-            elif a2 == BUFFER3:
-                level3 -= 1
-                push(4)
-            else:
-                push(_FICTITIOUS)
-        code[service] = codes
-        moves = _STEP_MOVES[code]
-        queues = np.cumsum(moves, axis=0)
-        queues -= moves
-        queues += (q1, q2, q3)  # the state before each step
-        q1, q2, q3 = (int(v) for v in queues[-1] + moves[-1])
-        hq = h1 * queues[:, 0] + h2 * queues[:, 1] + h3 * queues[:, 2]
+        arrive = {BUFFER1: arrive1, BUFFER2: (x < edge1) & ~arrive1}
+        band1 = (x >= edge1) & (x < edge2)
+        band2 = x >= edge2
+        pre, post = {}, {}  # each queue before and after each step
+        if order is None:
+            gate = _called_services(policy_fn, q, x, arrive, band1, band2, serve)
+            for b in (BUFFER1, BUFFER2):
+                pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
+        else:
+            first, second = order
+            gate = {first: band1 & (x < serve[first])}
+            pre[first], post[first] = _reflect(q[first], _less(arrive[first], gate[first]))
+            gate[second] = band1 & (x < serve[second]) & (pre[first] == 0)
+            pre[second], post[second] = _reflect(q[second], _less(arrive[second], gate[second]))
+        served2 = gate[BUFFER2] & (pre[BUFFER2] > 0)
+        pre[BUFFER3], post[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
+        q = {b: int(path[-1]) for b, path in post.items()}
+        hq = h1 * pre[BUFFER1] + h2 * pre[BUFFER2] + h3 * pre[BUFFER3]
         value = _carried_sum(value, weights.value(start, stop) * hq)
         end = _carried_sum(end, weights.end(start, stop) * hq)
     return PathCost(value * weights.value_scale, end * weights.end_scale)
@@ -336,16 +394,22 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
     named policies, next to the Brownian reference value on a bcp_dt grid
     over bcp_paths paths.
 
-    Needs at least two r values (a single point cannot show a trend). Warns
-    when the requested log-coefficient sits below the guaranteed regime.
+    Needs at least two r values (a single point cannot show a trend), and
+    no r value or policy twice (a repeat would only print its row again).
+    Warns when the requested log-coefficient sits below the guaranteed
+    regime.
     Every input is checked before the first replication is simulated, and
     before any warning, so a rejected input reports only its error.
     """
     limits = config.limits
+    if len(set(config.r_list)) < len(config.r_list):
+        raise ValueError(f"r_list repeats a value: {list(config.r_list)}")
     if len(config.r_list) < 2:
         raise ValueError("r_list must contain at least two values to show a trend")
     if not policies:
         raise ValueError("need at least one policy")
+    if len(set(policies)) < len(policies):
+        raise ValueError(f"policies repeat a name: {list(policies)}")
     nets = [make_r_network(limits, r, config.ell0, config.c) for r in config.r_list]
     for net in nets:
         event_budget(net, net.r * net.r * config.horizon)

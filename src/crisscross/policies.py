@@ -71,7 +71,11 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
 
 PolicyFn = Callable[[int, int, int], "tuple[int, int]"]
 
-POLICY_NAMES = ("threshold", "priority1", "priority2")
+# Server 1's buffer order under each static priority: the preferred buffer,
+# then the one it falls back to when the preferred one is empty.
+_PRIORITY_ORDER = {"priority1": (BUFFER1, BUFFER2), "priority2": (BUFFER2, BUFFER1)}
+
+POLICY_NAMES = ("threshold", *_PRIORITY_ORDER)
 
 
 def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
@@ -113,22 +117,13 @@ def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
 
         return threshold_policy
 
-    if name in ("priority1", "priority2"):
-        prefer_first = name == "priority1"
+    if name in _PRIORITY_ORDER:
+        first, second = _PRIORITY_ORDER[name]
 
         def priority_policy(q1: int, q2: int, q3: int) -> tuple[int, int]:
-            server2 = BUFFER3 if q3 > 0 else IDLE
-            if prefer_first:
-                if q1 > 0:
-                    return (BUFFER1, server2)
-                if q2 > 0:
-                    return (BUFFER2, server2)
-            else:
-                if q2 > 0:
-                    return (BUFFER2, server2)
-                if q1 > 0:
-                    return (BUFFER1, server2)
-            return (IDLE, server2)
+            queued = (None, q1, q2)
+            server1 = first if queued[first] > 0 else second if queued[second] > 0 else IDLE
+            return (server1, BUFFER3 if q3 > 0 else IDLE)
 
         return priority_policy
 

@@ -191,8 +191,10 @@ def test_unknown_policy_exits_2(config_path, capsys):
         ({"r_list": [3, 5, 1]}, []),
         ({}, ["--policies", "threshold,fifo"]),
         ({"b": [1e300, 0.0, 0.0]}, []),
+        ({"r_list": [5, 5.0]}, []),
+        ({}, ["--policies", "threshold,threshold"]),
     ],
-    ids=["no-paths", "zero-dt", "unusable-r", "unknown-policy", "event-limit"],
+    ids=["no-paths", "zero-dt", "unusable-r", "unknown-policy", "event-limit", "repeated-r", "repeated-policy"],
 )
 def test_converge_rejects_bad_input_before_simulating(tmp_path, capsys, monkeypatch, overrides, args):
     calls = []

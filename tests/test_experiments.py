@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisscross.experiments import (
     _CHAIN_BLOCK,
     _chain_cost,
     _chain_weights,
+    _reflect,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
@@ -21,7 +24,7 @@ from crisscross.experiments import (
     run_diagnostics,
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.policies import BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
+from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
 from crisscross.simulate import ScaledTrajectory, Trajectory, _clock_rate, diffusion_scale, fluid_scale, simulate
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
@@ -187,7 +190,7 @@ def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
     weights = _chain_weights(net, limits.gamma, 15.0)
     for rep in range(3):
         seed = replication_seed(5, net.r, rep)
-        value, end = _chain_cost(net, policy_fn, weights, limits.h, seed)
+        value, end = _chain_cost(net, policy, weights, limits.h, seed)
         want_value, want_end = _stepwise_chain_cost(net, policy_fn, weights, limits.h, seed)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert end == pytest.approx(want_end, rel=1e-12)
@@ -229,12 +232,43 @@ def test_chain_cost_bits_do_not_depend_on_the_block_size(policy):
     net = make_r_network(ASYMMETRIC_DRIFTED, 20.0, 1.2, 3.0)
     weights = _chain_weights(net, ASYMMETRIC_DRIFTED.gamma, 15.0)
     assert weights.n_steps > 2 * _CHAIN_BLOCK
-    policy_fn = make_policy(policy, net)
     costs = {
-        block: _chain_cost(net, policy_fn, weights, ASYMMETRIC_DRIFTED.h, replication_seed(3, 20.0, 0), block)
+        block: _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, replication_seed(3, 20.0, 0), block)
         for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps)
     }
     assert len(set(costs.values())) == 1, costs
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("r", [5.0, 20.0])
+@pytest.mark.parametrize("policy", list(_PRIORITY_ORDER))
+def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy):
+    """A priority name takes the cascaded reflections, its closure the
+    per-step calls; every block size gives both the same bits."""
+    net = make_r_network(limits, r, 1.2, 3.0)
+    weights = _chain_weights(net, limits.gamma, 15.0)
+    seed = replication_seed(7, r, 0)
+    for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps):
+        cascade = _chain_cost(net, policy, weights, limits.h, seed, block)
+        called = _chain_cost(net, make_policy(policy, net), weights, limits.h, seed, block)
+        assert cascade == called, (block, cascade, called)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q0=st.integers(min_value=0, max_value=5),
+    inc=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60)
+    | st.integers(min_value=1, max_value=20).map(lambda n: [-1] * n),
+)
+def test_reflect_is_lindleys_recursion(q0, inc):
+    pre, post = _reflect(q0, np.array(inc, dtype=np.int8))
+    q, want_pre, want_post = q0, [], []
+    for step in inc:
+        want_pre.append(q)
+        q = max(q + step, 0)
+        want_post.append(q)
+    assert pre.tolist() == want_pre
+    assert post.tolist() == want_post
 
 
 def test_estimate_cost_refuses_a_run_past_the_event_limit_before_allocating():
