@@ -8,13 +8,13 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
-from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, make_policy
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, _threshold_levels, _ThresholdLevels, make_policy
 from .simulate import ScaledTrajectory, Trajectory, _clock_rate, event_budget, simulate
 
 __all__ = [
@@ -259,47 +259,92 @@ def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return up.view(np.int8) - down.view(np.int8)
 
 
-def _called_services(
-    policy_fn: PolicyFn,
-    q: dict[int, int],
-    x: np.ndarray,
-    arrive: dict[int, np.ndarray],
-    band1: np.ndarray,
-    band2: np.ndarray,
-    serve: dict[int, float],
-) -> dict[int, np.ndarray]:
-    """The services at buffers 1 and 2 in one block of _chain_cost, with
-    policy_fn called at each server-1 band step, from the queues q before
-    the block.
-
-    Between two such steps buffer 3 meets only server-2 band steps, each of
-    which serves it if it is nonempty, so at a call its level is the last
-    one less the server-2 band steps since, floored at 0.
-    """
+def _server1_steps(
+    x: np.ndarray, arrive: dict[int, np.ndarray], band1: np.ndarray, band2: np.ndarray, serve: dict[int, float]
+) -> tuple[np.ndarray, Iterator[tuple[int, int, int, bool, bool]]]:
+    """The server-1 band steps of one block of _chain_cost, and a row for
+    each of what a rule needs there, on Python ints and bools: the arrivals
+    at buffers 1 and 2 and the server-2 band steps since the previous one
+    (or the block's start), and whether the step can serve buffer 1 and
+    buffer 2 (the uniform lies in the first mu of that buffer)."""
     steps = np.flatnonzero(band1)
-    count1 = (np.cumsum(arrive[BUFFER1])[steps] + q[BUFFER1]).tolist()
-    count2 = (np.cumsum(arrive[BUFFER2])[steps] + q[BUFFER2]).tolist()
-    drains = np.diff(np.cumsum(band2)[steps], prepend=0).tolist()
-    serve1, serve2 = serve[BUFFER1], serve[BUFFER2]
-    codes = []
+
+    def since(mask: np.ndarray) -> list[int]:
+        return np.diff(np.cumsum(mask)[steps], prepend=0).tolist()
+
+    y = x[steps]
+    can1, can2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
+    return steps, zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), can1, can2)
+
+
+def _gates(n: int, steps: np.ndarray, codes: bytearray) -> dict[int, np.ndarray]:
+    """The services at buffers 1 and 2 of a block of n steps, from server
+    1's codes (IDLE, BUFFER1 or BUFFER2) at its server-1 band steps."""
+    server1 = np.zeros(n, dtype=np.int8)
+    server1[steps] = np.frombuffer(codes, dtype=np.int8)
+    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
+
+
+def _called_services(policy_fn: PolicyFn, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
+    """Server 1's codes at the rows of _server1_steps, with policy_fn
+    called at each, from the queues q before the block.
+
+    Between two server-1 band steps buffer 3 meets only server-2 band
+    steps, each of which serves it if it is nonempty, so at a call its
+    level is the last one less the server-2 band steps since, floored at 0.
+    """
+    codes = bytearray()
     push = codes.append
-    d1 = d2 = 0  # services at buffers 1 and 2 so far in the block
-    level3 = q[BUFFER3]
-    for c1, c2, n, y in zip(count1, count2, drains, x[steps].tolist()):
-        level3 = level3 - n if level3 > n else 0
-        a1 = policy_fn(c1 - d1, c2 - d2, level3)[0]
-        if a1 == BUFFER1 and y < serve1:
-            d1 += 1
+    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
+    for n1, n2, n3, can1, can2 in rows:
+        q1 += n1
+        q2 += n2
+        q3 = q3 - n3 if q3 > n3 else 0
+        a1 = policy_fn(q1, q2, q3)[0]
+        if a1 == BUFFER1 and can1:
+            q1 -= 1
             push(BUFFER1)
-        elif a1 == BUFFER2 and y < serve2:
-            d2 += 1
-            level3 += 1
+        elif a1 == BUFFER2 and can2:
+            q2 -= 1
+            q3 += 1
             push(BUFFER2)
         else:
             push(IDLE)
-    server1 = np.zeros(x.shape[0], dtype=np.int8)
-    server1[steps] = codes
-    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
+    return codes
+
+
+def _threshold_services(levels: _ThresholdLevels, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
+    """_called_services of make_policy("threshold", net), with the rule
+    inlined on Python ints: no call and no tuple per server-1 step.
+
+    With levels = _threshold_levels(net), it is the closure's test term for
+    term: when q1 + q2 > 0, server 1 takes buffer 2 iff q2 > 0 and
+    (q3 < near_full) if (q3 - ratio*q1 < low) else (q1 < overgrow), and
+    buffer 1 otherwise. So every decision, and every bit, is the closure's.
+    """
+    ratio, low, near_full, overgrow = levels
+    codes = bytearray()
+    push = codes.append
+    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
+    for n1, n2, n3, can1, can2 in rows:
+        q1 += n1
+        q2 += n2
+        q3 = q3 - n3 if q3 > n3 else 0
+        if not q1 + q2:
+            push(IDLE)
+        elif q2 and ((q3 < near_full) if q3 - ratio * q1 < low else (q1 < overgrow)):
+            if can2:
+                q2 -= 1
+                q3 += 1
+                push(BUFFER2)
+            else:
+                push(IDLE)
+        elif can1:
+            q1 -= 1
+            push(BUFFER1)
+        else:
+            push(IDLE)
+    return codes
 
 
 def _chain_cost(
@@ -332,9 +377,10 @@ def _chain_cost(
       buffer may be served at its steps in server 1's band, and the other
       buffer at its steps there where the preferred one is empty: three
       cascaded reflections.
-    - Any other rule, a name or a PolicyFn, is called once per server-1
-      band step (_called_services), and the reflections of buffers 1 and 2
-      never bind.
+    - Under "threshold", a Python loop over the server-1 band steps runs
+      the rule inlined (_threshold_services); any PolicyFn is called once
+      per such step (_called_services). In both, the reflections of
+      buffers 1 and 2 never bind.
 
     The steps run in blocks of `block`; the uniforms are one stream and
     every sum is carried left to right, so the bits do not depend on
@@ -347,7 +393,10 @@ def _chain_cost(
     edge2 = edge1 + max(mu1, mu2)
     rate = _clock_rate(net)
     order = _PRIORITY_ORDER.get(policy) if isinstance(policy, str) else None
-    policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
+    if policy == "threshold":
+        services, rule = _threshold_services, _threshold_levels(net)
+    else:
+        services, rule = _called_services, make_policy(policy, net) if isinstance(policy, str) else policy
     h1, h2, h3 = (float(x) for x in h)
     gen = np.random.Generator(np.random.PCG64(seed))
     q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
@@ -361,7 +410,8 @@ def _chain_cost(
         band2 = x >= edge2
         pre, post = {}, {}  # each queue before and after each step
         if order is None:
-            gate = _called_services(policy_fn, q, x, arrive, band1, band2, serve)
+            steps, rows = _server1_steps(x, arrive, band1, band2, serve)
+            gate = _gates(x.shape[0], steps, services(rule, q, rows))
             for b in (BUFFER1, BUFFER2):
                 pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
         else:

@@ -8,7 +8,7 @@ and fall back to buffer 1 whenever buffer 2 is empty.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .params import RNetwork
 
@@ -71,6 +71,28 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
 
 PolicyFn = Callable[[int, int, int], "tuple[int, int]"]
 
+
+class _ThresholdLevels(NamedTuple):
+    """The levels of make_policy's threshold rule on one network."""
+
+    ratio: float     # mu2^r/mu1^r
+    low: int         # threshold_low
+    near_full: int   # threshold_high - 1
+    overgrow: float  # (mu1^r/mu2^r)(threshold_high - threshold_low + 2)
+
+
+def _threshold_levels(net: RNetwork) -> _ThresholdLevels:
+    """The one definition of the threshold rule's levels, read by its
+    closure and by the chain's inlined copy (experiments)."""
+    mu1, mu2 = net.mu[0], net.mu[1]
+    return _ThresholdLevels(
+        ratio=mu2 / mu1,
+        low=net.threshold_low,
+        near_full=net.threshold_high - 1,
+        overgrow=(mu1 / mu2) * (net.threshold_high - net.threshold_low + 2),
+    )
+
+
 # Server 1's buffer order under each static priority: the preferred buffer,
 # then the one it falls back to when the preferred one is empty.
 _PRIORITY_ORDER = {"priority1": (BUFFER1, BUFFER2), "priority2": (BUFFER2, BUFFER1)}
@@ -93,17 +115,19 @@ def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
       the high mark (q3 >= threshold_high - 1) or there is nothing to drain.
       Outside it, buffer 2 is drained unless buffer 1 has grown past
       (mu1^r/mu2^r)(threshold_high - threshold_low + 2). Server 1 idles
-      only when buffers 1 and 2 are both empty.
+      only when buffers 1 and 2 are both empty. Equivalently, when
+      q1 + q2 > 0, server 1 serves buffer 2 iff q2 > 0 and the mode test
+      holds, (q3 < near_full) if (q3 - ratio*q1 < low) else
+      (q1 < overgrow), with near_full = threshold_high - 1 and overgrow the
+      level above; otherwise it serves buffer 1. _threshold_levels holds
+      these levels.
 
     indicator_form_audit re-derives the threshold rule independently.
     """
     if name == "threshold":
         if net is None:
             raise ValueError("threshold policy needs an RNetwork")
-        ratio = net.mu[1] / net.mu[0]
-        near_full = net.threshold_high - 1
-        overgrow_level = (net.mu[0] / net.mu[1]) * (net.threshold_high - net.threshold_low + 2)
-        low = net.threshold_low
+        ratio, low, near_full, overgrow_level = _threshold_levels(net)
 
         def threshold_policy(q1: int, q2: int, q3: int) -> tuple[int, int]:
             server2 = BUFFER3 if q3 > 0 else IDLE

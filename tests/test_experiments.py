@@ -5,14 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crisscross.experiments import (
     _CHAIN_BLOCK,
+    _called_services,
     _chain_cost,
     _chain_weights,
+    _gates,
     _reflect,
+    _server1_steps,
+    _threshold_services,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
@@ -24,7 +28,7 @@ from crisscross.experiments import (
     run_diagnostics,
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
+from crisscross.policies import _PRIORITY_ORDER, _threshold_levels, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
 from crisscross.simulate import ScaledTrajectory, Trajectory, _clock_rate, diffusion_scale, fluid_scale, simulate
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
@@ -252,6 +256,55 @@ def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy):
         cascade = _chain_cost(net, policy, weights, limits.h, seed, block)
         called = _chain_cost(net, make_policy(policy, net), weights, limits.h, seed, block)
         assert cascade == called, (block, cascade, called)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
+def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
+    """The name "threshold" takes the inlined rule, its closure the
+    per-step calls; every block size gives both the same bits."""
+    net = make_r_network(limits, r, 1.2, 3.0)
+    weights = _chain_weights(net, limits.gamma, 15.0)
+    seed = replication_seed(7, r, 0)
+    for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps):
+        inlined = _chain_cost(net, "threshold", weights, limits.h, seed, block)
+        called = _chain_cost(net, make_policy("threshold", net), weights, limits.h, seed, block)
+        assert inlined == called, (block, inlined, called)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    limits=st.sampled_from([LIMITS, ASYMMETRIC_DRIFTED]),
+    r=st.floats(min_value=5.0, max_value=200.0),
+    ell0=st.floats(min_value=0.5, max_value=3.0),
+    c=st.floats(min_value=1.0, max_value=5.0, exclude_min=True),
+    data=st.data(),
+)
+def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0, c, data):
+    """One block from start queues up to 3 threshold_high, so that both
+    modes and the q1 = 0 and q2 = 0 edges are met: the inlined rule serves
+    buffers 1 and 2 at exactly the closure's steps."""
+    try:
+        net = make_r_network(limits, r, ell0, c)
+    except ValueError:  # below the usability floor
+        assume(False)
+    top = 3 * net.threshold_high
+    q = dict(zip((BUFFER1, BUFFER2, BUFFER3), data.draw(st.tuples(*[st.integers(0, top)] * 3), label="q")))
+    u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64), label="u")
+    x = np.array(u) * _clock_rate(net)
+    lam1, lam2 = net.lam
+    mu1, mu2, _ = net.mu
+    edge1 = lam1 + lam2
+    arrive = {BUFFER1: x < lam1, BUFFER2: (x >= lam1) & (x < edge1)}
+    band1 = (x >= edge1) & (x < edge1 + max(mu1, mu2))
+    band2 = x >= edge1 + max(mu1, mu2)
+    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
+    steps, rows = _server1_steps(x, arrive, band1, band2, serve)
+    rows = list(rows)
+    inlined = _gates(x.shape[0], steps, _threshold_services(_threshold_levels(net), q, rows))
+    called = _gates(x.shape[0], steps, _called_services(make_policy("threshold", net), q, rows))
+    for b in (BUFFER1, BUFFER2):
+        assert inlined[b].tolist() == called[b].tolist(), (b, q, u)
 
 
 @settings(max_examples=300, deadline=None)
