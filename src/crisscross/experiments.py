@@ -8,14 +8,14 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
-from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, _threshold_levels, _ThresholdLevels, make_policy
-from .simulate import ScaledTrajectory, Trajectory, _clock_rate, event_budget, simulate
+from .policies import BUFFER1, BUFFER2, BUFFER3, PolicyFn, make_policy
+from .simulate import _CHAIN_BLOCK, ScaledTrajectory, Trajectory, _chain_step, _clock_rate, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -83,7 +83,8 @@ def reference_seed(seed: int) -> np.random.SeedSequence:
 
 def replicate(net: RNetwork, policy: str | PolicyFn, horizon_scaled: float, seed: int, rep: int) -> Trajectory:
     """Replication rep of net under policy: the simulator run over the
-    unscaled horizon r^2 * horizon_scaled on the streams of replication_seed."""
+    unscaled horizon r^2 * horizon_scaled on the streams of replication_seed.
+    It walks the jump chain whose cost estimate_cost integrates for rep."""
     return simulate(net, policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, rep))
 
 
@@ -114,12 +115,12 @@ def estimate_cost(
     """Discounted diffusion-scaled cost of policy on net over horizon_scaled,
     averaged over n_reps replications of the uniformized jump chain.
 
-    Each replication's cost is the mean, given its jump chain, of what
-    discounted_cost integrates along a simulated path, so the estimand is
-    the same; see _chain_cost. Replication k draws its uniforms from
-    replication_seed(seed, r, k) alone, so different policies see the same
-    uniforms (common random numbers). A run that event_budget refuses is
-    refused before anything is allocated.
+    Replication k's cost is the mean, given its jump chain, of what
+    discounted_cost integrates along replicate(net, policy, horizon_scaled,
+    seed, k), which walks the same chain; see _chain_cost. Its uniforms
+    come from replication_seed(seed, r, k) alone, so different policies see
+    the same uniforms (common random numbers). A run that event_budget
+    refuses is refused before anything is allocated.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
@@ -146,11 +147,6 @@ def estimate_cost(
         threshold_low=net.threshold_low,
         threshold_high=net.threshold_high,
     )
-
-
-# Steps of the uniformized chain per numpy pass of _chain_cost. Its buffers
-# hold O(_CHAIN_BLOCK) values at any r, and no estimate depends on it.
-_CHAIN_BLOCK = 1 << 14
 
 
 def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
@@ -240,113 +236,6 @@ def _carried_sum(carry: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _reflect(q0: int, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lindley's recursion q_k = max(q_{k-1} + inc_k, 0) from q0 >= 0: the
-    queue before and after each step. The reflected walk is the free walk
-    q0 + cumsum(inc) less its running minimum where that is below 0, so it
-    is exact on integers."""
-    post = np.cumsum(inc, dtype=np.int64)
-    post += q0
-    post -= np.minimum(np.minimum.accumulate(post), 0)
-    pre = np.empty_like(post)
-    pre[0] = q0
-    pre[1:] = post[:-1]
-    return pre, post
-
-
-def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """The steps of mask up less those of mask down, as -1/0/1 increments."""
-    return up.view(np.int8) - down.view(np.int8)
-
-
-def _server1_steps(
-    x: np.ndarray, arrive: dict[int, np.ndarray], band1: np.ndarray, band2: np.ndarray, serve: dict[int, float]
-) -> tuple[np.ndarray, Iterator[tuple[int, int, int, bool, bool]]]:
-    """The server-1 band steps of one block of _chain_cost, and a row for
-    each of what a rule needs there, on Python ints and bools: the arrivals
-    at buffers 1 and 2 and the server-2 band steps since the previous one
-    (or the block's start), and whether the step can serve buffer 1 and
-    buffer 2 (the uniform lies in the first mu of that buffer)."""
-    steps = np.flatnonzero(band1)
-
-    def since(mask: np.ndarray) -> list[int]:
-        return np.diff(np.cumsum(mask)[steps], prepend=0).tolist()
-
-    y = x[steps]
-    can1, can2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
-    return steps, zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), can1, can2)
-
-
-def _gates(n: int, steps: np.ndarray, codes: bytearray) -> dict[int, np.ndarray]:
-    """The services at buffers 1 and 2 of a block of n steps, from server
-    1's codes (IDLE, BUFFER1 or BUFFER2) at its server-1 band steps."""
-    server1 = np.zeros(n, dtype=np.int8)
-    server1[steps] = np.frombuffer(codes, dtype=np.int8)
-    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
-
-
-def _called_services(policy_fn: PolicyFn, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
-    """Server 1's codes at the rows of _server1_steps, with policy_fn
-    called at each, from the queues q before the block.
-
-    Between two server-1 band steps buffer 3 meets only server-2 band
-    steps, each of which serves it if it is nonempty, so at a call its
-    level is the last one less the server-2 band steps since, floored at 0.
-    """
-    codes = bytearray()
-    push = codes.append
-    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
-    for n1, n2, n3, can1, can2 in rows:
-        q1 += n1
-        q2 += n2
-        q3 = q3 - n3 if q3 > n3 else 0
-        a1 = policy_fn(q1, q2, q3)[0]
-        if a1 == BUFFER1 and can1:
-            q1 -= 1
-            push(BUFFER1)
-        elif a1 == BUFFER2 and can2:
-            q2 -= 1
-            q3 += 1
-            push(BUFFER2)
-        else:
-            push(IDLE)
-    return codes
-
-
-def _threshold_services(levels: _ThresholdLevels, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
-    """_called_services of make_policy("threshold", net), with the rule
-    inlined on Python ints: no call and no tuple per server-1 step.
-
-    With levels = _threshold_levels(net), it is the closure's test term for
-    term: when q1 + q2 > 0, server 1 takes buffer 2 iff q2 > 0 and
-    (q3 < near_full) if (q3 - ratio*q1 < low) else (q1 < overgrow), and
-    buffer 1 otherwise. So every decision, and every bit, is the closure's.
-    """
-    ratio, low, near_full, overgrow = levels
-    codes = bytearray()
-    push = codes.append
-    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
-    for n1, n2, n3, can1, can2 in rows:
-        q1 += n1
-        q2 += n2
-        q3 = q3 - n3 if q3 > n3 else 0
-        if not q1 + q2:
-            push(IDLE)
-        elif q2 and ((q3 < near_full) if q3 - ratio * q1 < low else (q1 < overgrow)):
-            if can2:
-                q2 -= 1
-                q3 += 1
-                push(BUFFER2)
-            else:
-                push(IDLE)
-        elif can1:
-            q1 -= 1
-            push(BUFFER1)
-        else:
-            push(IDLE)
-    return codes
-
-
 def _chain_cost(
     net: RNetwork,
     policy: str | PolicyFn,
@@ -355,73 +244,21 @@ def _chain_cost(
     seed: np.random.SeedSequence,
     block: int = _CHAIN_BLOCK,
 ) -> PathCost:
-    """One replication's discounted cost on the uniformized jump chain,
-    with the holding times integrated out (_ChainWeights).
-
-    Each step draws one uniform, scaled to [0, L), which falls in one of
-    four bands: arrival 1 (width lam1), arrival 2 (lam2), server 1
-    (max(mu1, mu2)) and server 2 (mu3). In server 1's band, the buffer the
-    policy assigns it is served when the uniform lies in the band's first
-    mu of that buffer; in server 2's band, buffer 3 is served when it is
-    nonempty; any other step is fictitious.
-
-    Each queue is a Lindley reflection (_reflect) of its arrivals less the
-    steps that may serve it, so a block needs no per-step Python except
-    where a rule must be called:
-
-    - Server 2 never idles while its buffer is nonempty, under every rule
-      here (see the policies module). So under every rule, buffer 3
-      reflects the buffer-2 services less the server-2 band steps, and a
-      closure's server-2 choice is not consulted.
-    - Under a static priority (a name in _PRIORITY_ORDER), the preferred
-      buffer may be served at its steps in server 1's band, and the other
-      buffer at its steps there where the preferred one is empty: three
-      cascaded reflections.
-    - Under "threshold", a Python loop over the server-1 band steps runs
-      the rule inlined (_threshold_services); any PolicyFn is called once
-      per such step (_called_services). In both, the reflections of
-      buffers 1 and 2 never bind.
+    """One replication's discounted cost on the uniformized jump chain
+    (_chain_step), with the holding times integrated out (_ChainWeights).
 
     The steps run in blocks of `block`; the uniforms are one stream and
     every sum is carried left to right, so the bits do not depend on
     `block`.
     """
-    lam1, lam2 = net.lam
-    mu1, mu2, _ = net.mu
-    edge1 = lam1 + lam2
-    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
-    edge2 = edge1 + max(mu1, mu2)
     rate = _clock_rate(net)
-    order = _PRIORITY_ORDER.get(policy) if isinstance(policy, str) else None
-    if policy == "threshold":
-        services, rule = _threshold_services, _threshold_levels(net)
-    else:
-        services, rule = _called_services, make_policy(policy, net) if isinstance(policy, str) else policy
     h1, h2, h3 = (float(x) for x in h)
     gen = np.random.Generator(np.random.PCG64(seed))
     q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
     value = end = 0.0
     for start in range(0, weights.n_steps, block):
         stop = min(start + block, weights.n_steps)
-        x = gen.random(stop - start) * rate
-        arrive1 = x < lam1
-        arrive = {BUFFER1: arrive1, BUFFER2: (x < edge1) & ~arrive1}
-        band1 = (x >= edge1) & (x < edge2)
-        band2 = x >= edge2
-        pre, post = {}, {}  # each queue before and after each step
-        if order is None:
-            steps, rows = _server1_steps(x, arrive, band1, band2, serve)
-            gate = _gates(x.shape[0], steps, services(rule, q, rows))
-            for b in (BUFFER1, BUFFER2):
-                pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
-        else:
-            first, second = order
-            gate = {first: band1 & (x < serve[first])}
-            pre[first], post[first] = _reflect(q[first], _less(arrive[first], gate[first]))
-            gate[second] = band1 & (x < serve[second]) & (pre[first] == 0)
-            pre[second], post[second] = _reflect(q[second], _less(arrive[second], gate[second]))
-        served2 = gate[BUFFER2] & (pre[BUFFER2] > 0)
-        pre[BUFFER3], post[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
+        pre, post = _chain_step(net, policy, q, gen.random(stop - start) * rate)
         q = {b: int(path[-1]) for b, path in post.items()}
         hq = h1 * pre[BUFFER1] + h2 * pre[BUFFER2] + h3 * pre[BUFFER3]
         value = _carried_sum(value, weights.value(start, stop) * hq)

@@ -1,24 +1,26 @@
-"""Event-driven simulation of the crisscross network.
+"""Simulation of the crisscross network on its uniformized jump chain.
 
 The network is a continuous-time Markov chain: two Poisson arrival streams,
-exponential services, and a policy consulted at every event epoch. Service
-preemption is resume-type, realized by resampling the remaining service
-time whenever a server's assignment changes (exact by memorylessness).
-Five independent random substreams (arrivals 1 and 2, services 1-3) are
-derived from one seed so that runs are reproducible and arrival streams can
-be shared across policies.
+exponential services, and a policy that is a function of the queues. Its
+uniformized jump chain, one clock at the rate L of _clock_rate and one
+uniform per step to pick the step's move, with Exp(L) holding times, is the
+same process in law. _chain_step is the one definition of that chain's
+step. simulate walks it with the holding times drawn, and
+experiments._chain_cost with them integrated out; both read the step
+uniforms from PCG64(seed), so a replication's record and its cost are one
+chain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .params import RNetwork
-from .policies import BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, make_policy
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, _threshold_levels, _ThresholdLevels, make_policy
 from .workload import WorkloadMatrix
 
 __all__ = [
@@ -41,10 +43,16 @@ SeedLike = Union[int, np.random.SeedSequence]
 _CLOCK_ATOL = 1e-9
 
 # Most events simulate accepts to run, by the estimate of event_budget. The
-# record costs about 140 bytes per event while it is built, so this caps it
-# near 550 MB. r = 160 at the default scaled horizon of 15 estimates 1.92M
-# events on the symmetric example.
+# record costs at most about 120 bytes per event while it is built (85-118
+# traced by tracemalloc at r = 40, 80 and 160, H = 15), so this caps it near
+# 480 MB. r = 160 at the default scaled horizon of 15 estimates 1.92M events
+# on the symmetric example.
 _MAX_EVENTS = 4_000_000
+
+# Steps of the uniformized chain per numpy pass (_chain_step), at most. The
+# step buffers hold O(_CHAIN_BLOCK) values at any r, and no result depends
+# on it.
+_CHAIN_BLOCK = 1 << 14
 
 # The five queue moves an event can make, in counting-process order:
 # arrival 1, arrival 2, service at buffer 1, 2 (routed to 3) and 3.
@@ -91,7 +99,7 @@ class Trajectory:
     @cached_property
     def alloc(self) -> np.ndarray:
         # Sequential accumulation, so each column is the running sum of its
-        # busy intervals exactly as an event loop would add them.
+        # busy intervals exactly as a loop over the rows would add them.
         act = self.activity[:-1]
         busy = np.stack([act[:, 0] == BUFFER1, act[:, 0] == BUFFER2, act[:, 1] == BUFFER3], axis=1)
         alloc = np.zeros((len(self), 3))
@@ -102,23 +110,6 @@ class Trajectory:
     def idle(self) -> np.ndarray:
         ep, al = self.epochs, self.alloc
         return np.stack([ep - al[:, 0] - al[:, 1], ep - al[:, 2]], axis=1)
-
-
-def _exp_source(gen: np.random.Generator, rate: float, chunk: int = 8192):
-    """Buffered sampler of Exp(rate) variates; strictly positive by construction."""
-    scale = 1.0 / rate
-    buf: list[float] = []
-
-    def draw() -> float:
-        if not buf:
-            vals = gen.exponential(scale, chunk)
-            vals = vals[vals > 0.0]  # zero has probability ~2^-64; dropping keeps the law
-            rev = vals.tolist()
-            rev.reverse()
-            buf.extend(rev)
-        return buf.pop()
-
-    return draw
 
 
 def _clock_rate(net: RNetwork) -> float:
@@ -141,6 +132,174 @@ def event_budget(net: RNetwork, horizon: float) -> float:
     return events
 
 
+def _reflect(q0: int, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lindley's recursion q_k = max(q_{k-1} + inc_k, 0) from q0 >= 0: the
+    queue before and after each step. The reflected walk is the free walk
+    q0 + cumsum(inc) less its running minimum where that is below 0, so it
+    is exact on integers."""
+    post = np.cumsum(inc, dtype=np.int64)
+    post += q0
+    post -= np.minimum(np.minimum.accumulate(post), 0)
+    pre = np.empty_like(post)
+    pre[0] = q0
+    pre[1:] = post[:-1]
+    return pre, post
+
+
+def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The steps of mask up less those of mask down, as -1/0/1 increments."""
+    return up.view(np.int8) - down.view(np.int8)
+
+
+def _server1_steps(
+    x: np.ndarray, arrive: dict[int, np.ndarray], band1: np.ndarray, band2: np.ndarray, serve: dict[int, float]
+) -> tuple[np.ndarray, Iterator[tuple[int, int, int, bool, bool]]]:
+    """The server-1 band steps of one block of _chain_step, and a row for
+    each of what a rule needs there, on Python ints and bools: the arrivals
+    at buffers 1 and 2 and the server-2 band steps since the previous one
+    (or the block's start), and whether the step can serve buffer 1 and
+    buffer 2 (the uniform lies in the first mu of that buffer)."""
+    steps = np.flatnonzero(band1)
+
+    def since(mask: np.ndarray) -> list[int]:
+        return np.diff(np.cumsum(mask)[steps], prepend=0).tolist()
+
+    y = x[steps]
+    can1, can2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
+    return steps, zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), can1, can2)
+
+
+def _gates(n: int, steps: np.ndarray, codes: bytearray) -> dict[int, np.ndarray]:
+    """The services at buffers 1 and 2 of a block of n steps, from server
+    1's codes (IDLE, BUFFER1 or BUFFER2) at its server-1 band steps."""
+    server1 = np.zeros(n, dtype=np.int8)
+    server1[steps] = np.frombuffer(codes, dtype=np.int8)
+    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
+
+
+def _called_services(policy_fn: PolicyFn, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
+    """Server 1's codes at the rows of _server1_steps, with policy_fn
+    called at each, from the queues q before the block.
+
+    Between two server-1 band steps buffer 3 meets only server-2 band
+    steps, each of which serves it if it is nonempty, so at a call its
+    level is the last one less the server-2 band steps since, floored at 0.
+    """
+    codes = bytearray()
+    push = codes.append
+    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
+    for n1, n2, n3, can1, can2 in rows:
+        q1 += n1
+        q2 += n2
+        q3 = q3 - n3 if q3 > n3 else 0
+        a1 = policy_fn(q1, q2, q3)[0]
+        if a1 == BUFFER1 and can1:
+            q1 -= 1
+            push(BUFFER1)
+        elif a1 == BUFFER2 and can2:
+            q2 -= 1
+            q3 += 1
+            push(BUFFER2)
+        else:
+            push(IDLE)
+    return codes
+
+
+def _threshold_services(levels: _ThresholdLevels, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
+    """_called_services of make_policy("threshold", net), with the rule
+    inlined on Python ints: no call and no tuple per server-1 step.
+
+    With levels = _threshold_levels(net), it is the closure's test term for
+    term: when q1 + q2 > 0, server 1 takes buffer 2 iff q2 > 0 and
+    (q3 < near_full) if (q3 - ratio*q1 < low) else (q1 < overgrow), and
+    buffer 1 otherwise. So every decision, and every bit, is the closure's.
+    """
+    ratio, low, near_full, overgrow = levels
+    codes = bytearray()
+    push = codes.append
+    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
+    for n1, n2, n3, can1, can2 in rows:
+        q1 += n1
+        q2 += n2
+        q3 = q3 - n3 if q3 > n3 else 0
+        if not q1 + q2:
+            push(IDLE)
+        elif q2 and ((q3 < near_full) if q3 - ratio * q1 < low else (q1 < overgrow)):
+            if can2:
+                q2 -= 1
+                q3 += 1
+                push(BUFFER2)
+            else:
+                push(IDLE)
+        elif can1:
+            q1 -= 1
+            push(BUFFER1)
+        else:
+            push(IDLE)
+    return codes
+
+
+def _chain_step(
+    net: RNetwork, policy: str | PolicyFn, q: dict[int, int], x: np.ndarray
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """One block of the network's uniformized jump chain: from the queues q
+    before the block and its uniforms x, scaled to [0, L) (_clock_rate),
+    each queue before and after each step, keyed by buffer.
+
+    Each uniform falls in one of four bands: arrival 1 (width lam1),
+    arrival 2 (lam2), server 1 (max(mu1, mu2)) and server 2 (mu3). In
+    server 1's band, the buffer the policy assigns it is served when the
+    uniform lies in the band's first mu of that buffer; in server 2's band,
+    buffer 3 is served when it is nonempty; any other step is fictitious.
+
+    Each queue is a Lindley reflection (_reflect) of its arrivals less the
+    steps that may serve it, so a block needs no per-step Python except
+    where a rule must be called:
+
+    - Server 2 never idles while its buffer is nonempty, under every rule
+      here (see the policies module). So under every rule, buffer 3
+      reflects the buffer-2 services less the server-2 band steps, and a
+      closure's server-2 choice is not consulted.
+    - Under a static priority (a name in _PRIORITY_ORDER), the preferred
+      buffer may be served at its steps in server 1's band, and the other
+      buffer at its steps there where the preferred one is empty: three
+      cascaded reflections.
+    - Under "threshold", a Python loop over the server-1 band steps runs
+      the rule inlined (_threshold_services); any PolicyFn is called once
+      per such step (_called_services). In both, the reflections of
+      buffers 1 and 2 never bind.
+    """
+    lam1, lam2 = net.lam
+    mu1, mu2, _ = net.mu
+    edge1 = lam1 + lam2
+    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
+    edge2 = edge1 + max(mu1, mu2)
+    arrive1 = x < lam1
+    arrive = {BUFFER1: arrive1, BUFFER2: (x < edge1) & ~arrive1}
+    band1 = (x >= edge1) & (x < edge2)
+    band2 = x >= edge2
+    pre, post = {}, {}
+    order = _PRIORITY_ORDER.get(policy) if isinstance(policy, str) else None
+    if order is None:
+        if policy == "threshold":
+            services, rule = _threshold_services, _threshold_levels(net)
+        else:
+            services, rule = _called_services, make_policy(policy, net) if isinstance(policy, str) else policy
+        steps, rows = _server1_steps(x, arrive, band1, band2, serve)
+        gate = _gates(x.shape[0], steps, services(rule, q, rows))
+        for b in (BUFFER1, BUFFER2):
+            pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
+    else:
+        first, second = order
+        gate = {first: band1 & (x < serve[first])}
+        pre[first], post[first] = _reflect(q[first], _less(arrive[first], gate[first]))
+        gate[second] = band1 & (x < serve[second]) & (pre[first] == 0)
+        pre[second], post[second] = _reflect(q[second], _less(arrive[second], gate[second]))
+    served2 = gate[BUFFER2] & (pre[BUFFER2] > 0)
+    pre[BUFFER3], post[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
+    return pre, post
+
+
 def simulate(
     net: RNetwork,
     policy: str | PolicyFn,
@@ -150,115 +309,63 @@ def simulate(
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
     policy is a registered name or a callable (q1, q2, q3) -> (server1,
-    server2) returning buffer indices (0 = idle); it is consulted once per
-    recorded row, so it must be a function of the queues alone. The same
-    (net, policy, horizon, seed) always reproduces the identical trajectory.
-    A run that event_budget estimates above _MAX_EVENTS raises ValueError.
+    server2) returning buffer indices (0 = idle). The run walks the
+    uniformized jump chain (_chain_step) on uniforms from PCG64(seed), the
+    stream experiments._chain_cost reads, and holds each state for an
+    Exp(L) time from a second stream, seed's first child (derived without
+    advancing seed's spawn counter). A row is kept for the empty state, for
+    each step that moves a queue by the horizon, and for the horizon;
+    fictitious steps only pass time.
+
+    Server 1's activity is the policy's, called once per row, so policy
+    must be a function of the queues alone. Server 2's is buffer 3 whenever
+    it is nonempty, by the policies module's contract, which the chain
+    assumes; a callable's server-2 choice is not consulted. The same (net,
+    policy, horizon, seed) always reproduces the identical trajectory,
+    whether seed is an int or a SeedSequence. A run that event_budget
+    estimates above _MAX_EVENTS raises ValueError.
     """
     if not (horizon >= 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon = {horizon!r} must be finite and >= 0")
-    event_budget(net, horizon)
+    events = event_budget(net, horizon)
     policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gens = [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(5)]
-    draw_a1 = _exp_source(gens[0], net.lam[0])
-    draw_a2 = _exp_source(gens[1], net.lam[1])
-    draw_s1 = _exp_source(gens[2], net.mu[0])
-    draw_s2 = _exp_source(gens[3], net.mu[1])
-    draw_s3 = _exp_source(gens[4], net.mu[2])
+    uniforms = np.random.Generator(np.random.PCG64(ss))
+    clock_seed = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
+    clock = np.random.Generator(np.random.PCG64(clock_seed))
+    rate = _clock_rate(net)
+    mean_hold = 1.0 / rate
+    # Blocks that mostly cover a run of the estimated length in one pass.
+    block = min(_CHAIN_BLOCK, math.ceil(events + 4.0 * math.sqrt(events)) + 1)
 
-    inf = math.inf
+    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
     t = 0.0
-    q1 = q2 = q3 = 0
+    epochs, queues = [np.zeros(1)], [np.zeros((1, 3), dtype=np.int64)]
+    while t <= horizon:
+        pre, post = _chain_step(net, policy, q, uniforms.random(block) * rate)
+        hold = clock.exponential(mean_hold, block)
+        while not hold.all():  # an exact 0 has probability ~2^-53; dropping it keeps the law
+            hold = np.append(hold[hold > 0.0], clock.exponential(mean_hold, block - np.count_nonzero(hold)))
+        hold[0] += t
+        at = np.cumsum(hold)  # each step's epoch, carried left to right across blocks
+        moved = (pre[BUFFER1] != post[BUFFER1]) | (pre[BUFFER2] != post[BUFFER2]) | (pre[BUFFER3] != post[BUFFER3])
+        kept = moved & (at <= horizon)
+        epochs.append(at[kept])
+        queues.append(np.stack([post[b][kept] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1))
+        q = {b: int(path[-1]) for b, path in post.items()}
+        t = float(at[-1])
+    # A terminal row holds the last state at the horizon, unless a step fell on it.
+    last = [k for k, piece in enumerate(epochs) if piece.size][-1]
+    if epochs[last][-1] < horizon:
+        epochs.append(np.array([float(horizon)]))
+        queues.append(queues[last][-1:])
 
-    svc1_buf = IDLE          # buffer server 1's pending completion belongs to
-    svc1_due = inf
-    svc2_due = inf
-    next_a1 = draw_a1()
-    next_a2 = draw_a2()
-
-    col_t = []
-    col_q1, col_q2, col_q3 = [], [], []
-    col_act1, col_act2 = [], []
-
-    while True:
-        # One row for the initial state, one per event, and a terminal row at
-        # the horizon unless the last event fell exactly on it.
-        act1, act2 = policy_fn(q1, q2, q3)
-        col_t.append(t)
-        col_q1.append(q1)
-        col_q2.append(q2)
-        col_q3.append(q3)
-        col_act1.append(act1)
-        col_act2.append(act2)
-        if t >= horizon:
-            break
-
-        # Reconcile service clocks with the in-force action. A changed
-        # assignment discards the pending completion and resamples (resume-
-        # type preemption); an unchanged one keeps its clock.
-        if act1 != svc1_buf:
-            svc1_buf = act1
-            if act1 == BUFFER1:
-                svc1_due = t + draw_s1()
-            elif act1 == BUFFER2:
-                svc1_due = t + draw_s2()
-            else:
-                svc1_due = inf
-        if act2 == BUFFER3:
-            if svc2_due == inf:
-                svc2_due = t + draw_s3()
-        else:
-            svc2_due = inf
-
-        t_next = next_a1
-        if next_a2 < t_next:
-            t_next = next_a2
-        if svc1_due < t_next:
-            t_next = svc1_due
-        if svc2_due < t_next:
-            t_next = svc2_due
-        if t_next > horizon:
-            # No event before the horizon: the terminal row moves no queue,
-            # since every clock below lies past it.
-            t_next = horizon
-        t = t_next
-
-        # Fixed order breaks exact float ties: arrivals, then server 1, then 2.
-        if t_next == next_a1:
-            q1 += 1
-            next_a1 = t + draw_a1()
-        elif t_next == next_a2:
-            q2 += 1
-            next_a2 = t + draw_a2()
-        elif t_next == svc1_due:
-            if svc1_buf == BUFFER1:
-                q1 -= 1
-            else:
-                q2 -= 1
-                q3 += 1
-            svc1_due = inf
-            svc1_buf = IDLE  # completion consumed; next assignment resamples
-        elif t_next == svc2_due:
-            q3 -= 1
-            svc2_due = inf
-
-    queues = np.stack(
-        [np.asarray(col_q1, dtype=np.int64), np.asarray(col_q2, dtype=np.int64), np.asarray(col_q3, dtype=np.int64)],
-        axis=1,
-    )
-    activity = np.stack(
-        [np.asarray(col_act1, dtype=np.int8), np.asarray(col_act2, dtype=np.int8)],
-        axis=1,
-    )
-    return Trajectory(
-        r=net.r,
-        horizon=float(horizon),
-        epochs=np.asarray(col_t, dtype=np.float64),
-        queues=queues,
-        activity=activity,
-    )
+    queues = np.concatenate(queues)
+    activity = np.empty((queues.shape[0], 2), dtype=np.int8)
+    activity[:, 0] = [policy_fn(q1, q2, q3)[0] for q1, q2, q3 in zip(*(col.tolist() for col in queues.T))]
+    activity[:, 1] = np.where(queues[:, 2] > 0, BUFFER3, IDLE)
+    return Trajectory(r=net.r, horizon=float(horizon), epochs=np.concatenate(epochs), queues=queues, activity=activity)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from crisscross.experiments import (
     _CHAIN_BLOCK,
-    _called_services,
     _chain_cost,
     _chain_weights,
-    _gates,
-    _reflect,
-    _server1_steps,
-    _threshold_services,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
@@ -29,7 +24,19 @@ from crisscross.experiments import (
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
 from crisscross.policies import _PRIORITY_ORDER, _threshold_levels, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
-from crisscross.simulate import ScaledTrajectory, Trajectory, _clock_rate, diffusion_scale, fluid_scale, simulate
+from crisscross.simulate import (
+    ScaledTrajectory,
+    Trajectory,
+    _called_services,
+    _clock_rate,
+    _gates,
+    _reflect,
+    _server1_steps,
+    _threshold_services,
+    diffusion_scale,
+    fluid_scale,
+    simulate,
+)
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
 ASYMMETRIC_DRIFTED = NetworkLimits(
@@ -159,18 +166,15 @@ def _mean_and_stderr(samples):
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
 
 
-def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
-    """Test-only oracle of _chain_cost: one Python loop over every step on
-    the same uniforms, consulting the policy at each, and one dot product
-    per weight vector."""
+def _stepwise_chain(net, policy_fn, x):
+    """Test-only oracle of the chain: one Python loop over every step of
+    the uniforms x, scaled to [0, L), consulting the policy at each. It
+    returns the state before each step and after the last, (n + 1, 3)."""
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
-    n = weights.n_steps
-    x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
     q1 = q2 = q3 = 0
-    hq = np.empty(n)
-    for k, u in enumerate(x.tolist()):
-        hq[k] = h[0] * q1 + h[1] * q2 + h[2] * q3
+    states = [(q1, q2, q3)]
+    for u in x.tolist():
         a1, a2 = policy_fn(q1, q2, q3)
         if u < lam1:
             q1 += 1
@@ -183,6 +187,17 @@ def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
                 q2, q3 = q2 - 1, q3 + 1
         elif a2 == BUFFER3:
             q3 -= 1
+        states.append((q1, q2, q3))
+    return np.array(states, dtype=np.int64)
+
+
+def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
+    """Test-only oracle of _chain_cost: the stepwise chain on the same
+    uniforms, and one dot product per weight vector."""
+    n = weights.n_steps
+    x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
+    q = _stepwise_chain(net, policy_fn, x)[:-1]
+    hq = h[0] * q[:, 0] + h[1] * q[:, 1] + h[2] * q[:, 2]
     return weights.value(0, n) @ hq * weights.value_scale, weights.end(0, n) @ hq * weights.end_scale
 
 
@@ -198,6 +213,30 @@ def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
         want_value, want_end = _stepwise_chain_cost(net, policy_fn, weights, limits.h, seed)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert end == pytest.approx(want_end, rel=1e-12)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
+    """replicate's rows are the stepwise oracle's states on the uniforms
+    that _chain_cost reads, with the fictitious steps dropped and the run
+    cut at the horizon; its epochs sum Exp(L) holding times drawn from the
+    key's first child. The longest run takes two blocks."""
+    net = make_r_network(limits, 10.0, 1.2, 3.0)
+    rate = _clock_rate(net)
+    for rep, horizon_scaled in enumerate((0.5, 2.0, 40.0)):
+        n = _chain_weights(net, limits.gamma, horizon_scaled).n_steps
+        seed = replication_seed(5, net.r, rep)
+        x = np.random.Generator(np.random.PCG64(seed)).random(n) * rate
+        states = _stepwise_chain(net, make_policy(policy, net), x)
+        at = np.cumsum(np.random.Generator(np.random.PCG64(seed.spawn(1)[0])).exponential(1.0 / rate, n))
+        cut = int(np.searchsorted(at, net.r * net.r * horizon_scaled, side="right"))  # steps by the horizon
+        assert cut < n
+        walk = states[: cut + 1]
+        moved = np.flatnonzero((np.diff(walk, axis=0) != 0).any(axis=1))
+        traj = replicate(net, policy, horizon_scaled, 5, rep)
+        assert traj.queues.tolist() == [walk[0].tolist(), *walk[moved + 1].tolist(), walk[-1].tolist()]
+        assert traj.epochs.tolist() == [0.0, *at[moved].tolist(), net.r * net.r * horizon_scaled]
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crisscross.params import NetworkLimits, RNetwork, make_r_network
-from crisscross.policies import BUFFER1, BUFFER2, BUFFER3
+from crisscross.policies import BUFFER1, BUFFER2, BUFFER3, POLICY_NAMES
 from crisscross.simulate import (
     ScaledTrajectory,
     check_conservation,
@@ -71,18 +71,32 @@ def test_same_seed_reproduces_the_path_exactly():
     assert np.array_equal(a.alloc, b.alloc)
     c = simulate(net, "threshold", 300.0, 43)
     assert not np.array_equal(a.epochs, c.epochs)
+    # A SeedSequence used twice names the same streams both times, and the
+    # ones of its int.
+    ss = np.random.SeedSequence(42)
+    for d in (simulate(net, "threshold", 300.0, ss), simulate(net, "threshold", 300.0, ss)):
+        assert np.array_equal(a.epochs, d.epochs)
+        assert np.array_equal(a.queues, d.queues)
 
 
 def test_arrival_rates_obey_the_law_of_large_numbers():
-    net = make_r_network(LIMITS, 10.0, 1.2, 3.0)
-    horizon = 4000.0
-    traj = simulate(net, "priority2", horizon, 11)
-    a1, a2 = traj.counts[-1, 0], traj.counts[-1, 1]
-    assert a1 / horizon == pytest.approx(net.lam[0], abs=0.06)
-    assert a2 / horizon == pytest.approx(net.lam[1], abs=0.06)
-    # Server 1 is critically loaded, so its busy fraction approaches one.
-    busy = (traj.alloc[-1, 0] + traj.alloc[-1, 1]) / horizon
-    assert busy > 0.9
+    """Arrivals come at lam and server 1 is nearly always busy; on the
+    asymmetric limits, under every policy, each buffer is also served at
+    its own mu per unit of busy time."""
+    cases = [(LIMITS, 10.0, "priority2")] + [(ASYMMETRIC, 8.0, policy) for policy in POLICY_NAMES]
+    for limits, r, policy in cases:
+        net = make_r_network(limits, r, 1.2, 3.0)
+        horizon = 4000.0
+        traj = simulate(net, policy, horizon, 11)
+        a1, a2 = traj.counts[-1, 0], traj.counts[-1, 1]
+        assert a1 / horizon == pytest.approx(net.lam[0], abs=0.06)
+        assert a2 / horizon == pytest.approx(net.lam[1], abs=0.06)
+        # Server 1 is critically loaded, so its busy fraction approaches one.
+        busy = (traj.alloc[-1, 0] + traj.alloc[-1, 1]) / horizon
+        assert busy > 0.9
+        if limits is ASYMMETRIC:
+            for j in range(3):
+                assert traj.counts[-1, 2 + j] / traj.alloc[-1, j] == pytest.approx(net.mu[j], rel=0.08), (policy, j)
 
 
 def test_forced_idleness_at_server_one():
