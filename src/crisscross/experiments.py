@@ -13,8 +13,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
-from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, kappa_bound, make_r_network, varsigma2
-from .policies import BUFFER1, BUFFER2, BUFFER3, PolicyFn, make_policy
+from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
+from .policies import BUFFER1, BUFFER2, BUFFER3, make_policy
 from .simulate import _CHAIN_BLOCK, ScaledTrajectory, Trajectory, _chain_step, _clock_rate, event_budget, simulate
 
 __all__ = [
@@ -81,10 +81,13 @@ def reference_seed(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, _BCP_TAG))
 
 
-def replicate(net: RNetwork, policy: str | PolicyFn, horizon_scaled: float, seed: int, rep: int) -> Trajectory:
+def replicate(net: RNetwork, policy: str, horizon_scaled: float, seed: int, rep: int) -> Trajectory:
     """Replication rep of net under policy: the simulator run over the
     unscaled horizon r^2 * horizon_scaled on the streams of replication_seed.
-    It walks the jump chain whose cost estimate_cost integrates for rep."""
+    It walks the jump chain whose cost estimate_cost integrates for rep.
+    A rep that is not a non-negative int raises ValueError."""
+    if not is_seed(rep):
+        raise ValueError(f"rep = {rep!r} must be a non-negative integer")
     return simulate(net, policy, net.r * net.r * horizon_scaled, replication_seed(seed, net.r, rep))
 
 
@@ -128,7 +131,7 @@ def estimate_cost(
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
     if not (gamma > 0.0):
         raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
-    make_policy(policy, net)  # rejects an unknown name
+    make_policy(policy, net)  # rejects anything but a policy name
     weights = _chain_weights(net, gamma, horizon_scaled)
 
     values = np.empty(n_reps)
@@ -238,7 +241,7 @@ def _carried_sum(carry: float, terms: np.ndarray) -> float:
 
 def _chain_cost(
     net: RNetwork,
-    policy: str | PolicyFn,
+    policy: str,
     weights: _ChainWeights,
     h: Sequence[float],
     seed: np.random.SeedSequence,

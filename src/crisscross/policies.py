@@ -82,8 +82,8 @@ class _ThresholdLevels(NamedTuple):
 
 
 def _threshold_levels(net: RNetwork) -> _ThresholdLevels:
-    """The one definition of the threshold rule's levels, read by its
-    closure and by the chain's inlined copy (simulate)."""
+    """The one definition of the threshold rule's levels, read by
+    make_policy's closure and by the chain's loop (simulate._threshold_gates)."""
     mu1, mu2 = net.mu[0], net.mu[1]
     return _ThresholdLevels(
         ratio=mu2 / mu1,

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
 from .params import RNetwork
-from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, PolicyFn, _threshold_levels, _ThresholdLevels, make_policy
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, _threshold_levels, _ThresholdLevels, make_policy
 from .workload import WorkloadMatrix
 
 __all__ = [
@@ -151,69 +151,36 @@ def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return up.view(np.int8) - down.view(np.int8)
 
 
-def _server1_steps(
-    x: np.ndarray, arrive: dict[int, np.ndarray], band1: np.ndarray, band2: np.ndarray, serve: dict[int, float]
-) -> tuple[np.ndarray, Iterator[tuple[int, int, int, bool, bool]]]:
-    """The server-1 band steps of one block of _chain_step, and a row for
-    each of what a rule needs there, on Python ints and bools: the arrivals
-    at buffers 1 and 2 and the server-2 band steps since the previous one
-    (or the block's start), and whether the step can serve buffer 1 and
-    buffer 2 (the uniform lies in the first mu of that buffer)."""
+def _threshold_gates(
+    levels: _ThresholdLevels,
+    q: dict[int, int],
+    x: np.ndarray,
+    arrive: dict[int, np.ndarray],
+    band1: np.ndarray,
+    band2: np.ndarray,
+    serve: dict[int, float],
+) -> dict[int, np.ndarray]:
+    """The services at buffers 1 and 2 of one block of _chain_step under
+    the threshold rule, from the queues q before the block.
+
+    A Python loop visits the server-1 band steps only, with the arrivals at
+    buffers 1 and 2 and the server-2 band steps since the previous one, and
+    whether the uniform lies in the first mu of buffer 1 and of buffer 2.
+    Between two such steps buffer 3 meets only server-2 band steps, each
+    serving it if it is nonempty, so its level is the last one less those
+    steps, floored at 0. The rule runs inlined on Python ints with the
+    levels of _threshold_levels: when q1 + q2 > 0, server 1 takes buffer 2
+    iff q2 > 0 and (q3 < near_full) if (q3 - ratio*q1 < low) else
+    (q1 < overgrow), and buffer 1 otherwise, as make_policy's rule does.
+    """
     steps = np.flatnonzero(band1)
 
     def since(mask: np.ndarray) -> list[int]:
         return np.diff(np.cumsum(mask)[steps], prepend=0).tolist()
 
     y = x[steps]
-    can1, can2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
-    return steps, zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), can1, can2)
-
-
-def _gates(n: int, steps: np.ndarray, codes: bytearray) -> dict[int, np.ndarray]:
-    """The services at buffers 1 and 2 of a block of n steps, from server
-    1's codes (IDLE, BUFFER1 or BUFFER2) at its server-1 band steps."""
-    server1 = np.zeros(n, dtype=np.int8)
-    server1[steps] = np.frombuffer(codes, dtype=np.int8)
-    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
-
-
-def _called_services(policy_fn: PolicyFn, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
-    """Server 1's codes at the rows of _server1_steps, with policy_fn
-    called at each, from the queues q before the block.
-
-    Between two server-1 band steps buffer 3 meets only server-2 band
-    steps, each of which serves it if it is nonempty, so at a call its
-    level is the last one less the server-2 band steps since, floored at 0.
-    """
-    codes = bytearray()
-    push = codes.append
-    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
-    for n1, n2, n3, can1, can2 in rows:
-        q1 += n1
-        q2 += n2
-        q3 = q3 - n3 if q3 > n3 else 0
-        a1 = policy_fn(q1, q2, q3)[0]
-        if a1 == BUFFER1 and can1:
-            q1 -= 1
-            push(BUFFER1)
-        elif a1 == BUFFER2 and can2:
-            q2 -= 1
-            q3 += 1
-            push(BUFFER2)
-        else:
-            push(IDLE)
-    return codes
-
-
-def _threshold_services(levels: _ThresholdLevels, q: dict[int, int], rows: Iterable[tuple[int, int, int, bool, bool]]) -> bytearray:
-    """_called_services of make_policy("threshold", net), with the rule
-    inlined on Python ints: no call and no tuple per server-1 step.
-
-    With levels = _threshold_levels(net), it is the closure's test term for
-    term: when q1 + q2 > 0, server 1 takes buffer 2 iff q2 > 0 and
-    (q3 < near_full) if (q3 - ratio*q1 < low) else (q1 < overgrow), and
-    buffer 1 otherwise. So every decision, and every bit, is the closure's.
-    """
+    in_mu1, in_mu2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
+    rows = zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), in_mu1, in_mu2)
     ratio, low, near_full, overgrow = levels
     codes = bytearray()
     push = codes.append
@@ -236,15 +203,16 @@ def _threshold_services(levels: _ThresholdLevels, q: dict[int, int], rows: Itera
             push(BUFFER1)
         else:
             push(IDLE)
-    return codes
+    server1 = np.zeros(x.shape[0], dtype=np.int8)
+    server1[steps] = np.frombuffer(codes, dtype=np.int8)
+    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
 
 
-def _chain_step(
-    net: RNetwork, policy: str | PolicyFn, q: dict[int, int], x: np.ndarray
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """One block of the network's uniformized jump chain: from the queues q
-    before the block and its uniforms x, scaled to [0, L) (_clock_rate),
-    each queue before and after each step, keyed by buffer.
+def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """One block of the network's uniformized jump chain under the named
+    policy: from the queues q before the block and its uniforms x, scaled to
+    [0, L) (_clock_rate), each queue before and after each step, keyed by
+    buffer.
 
     Each uniform falls in one of four bands: arrival 1 (width lam1),
     arrival 2 (lam2), server 1 (max(mu1, mu2)) and server 2 (mu3). In
@@ -254,20 +222,18 @@ def _chain_step(
 
     Each queue is a Lindley reflection (_reflect) of its arrivals less the
     steps that may serve it, so a block needs no per-step Python except
-    where a rule must be called:
+    where the threshold rule decides:
 
     - Server 2 never idles while its buffer is nonempty, under every rule
-      here (see the policies module). So under every rule, buffer 3
-      reflects the buffer-2 services less the server-2 band steps, and a
-      closure's server-2 choice is not consulted.
+      (see the policies module). So buffer 3 reflects the buffer-2 services
+      less the server-2 band steps.
+    - "threshold" runs its rule in a Python loop over the server-1 band
+      steps (_threshold_gates); the reflections of buffers 1 and 2 never
+      bind.
     - Under a static priority (a name in _PRIORITY_ORDER), the preferred
       buffer may be served at its steps in server 1's band, and the other
       buffer at its steps there where the preferred one is empty: three
       cascaded reflections.
-    - Under "threshold", a Python loop over the server-1 band steps runs
-      the rule inlined (_threshold_services); any PolicyFn is called once
-      per such step (_called_services). In both, the reflections of
-      buffers 1 and 2 never bind.
     """
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
@@ -279,18 +245,12 @@ def _chain_step(
     band1 = (x >= edge1) & (x < edge2)
     band2 = x >= edge2
     pre, post = {}, {}
-    order = _PRIORITY_ORDER.get(policy) if isinstance(policy, str) else None
-    if order is None:
-        if policy == "threshold":
-            services, rule = _threshold_services, _threshold_levels(net)
-        else:
-            services, rule = _called_services, make_policy(policy, net) if isinstance(policy, str) else policy
-        steps, rows = _server1_steps(x, arrive, band1, band2, serve)
-        gate = _gates(x.shape[0], steps, services(rule, q, rows))
+    if policy == "threshold":
+        gate = _threshold_gates(_threshold_levels(net), q, x, arrive, band1, band2, serve)
         for b in (BUFFER1, BUFFER2):
             pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
     else:
-        first, second = order
+        first, second = _PRIORITY_ORDER[policy]
         gate = {first: band1 & (x < serve[first])}
         pre[first], post[first] = _reflect(q[first], _less(arrive[first], gate[first]))
         gate[second] = band1 & (x < serve[second]) & (pre[first] == 0)
@@ -300,35 +260,29 @@ def _chain_step(
     return pre, post
 
 
-def simulate(
-    net: RNetwork,
-    policy: str | PolicyFn,
-    horizon: float,
-    seed: SeedLike,
-) -> Trajectory:
+def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Trajectory:
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
-    policy is a registered name or a callable (q1, q2, q3) -> (server1,
-    server2) returning buffer indices (0 = idle). The run walks the
-    uniformized jump chain (_chain_step) on uniforms from PCG64(seed), the
-    stream experiments._chain_cost reads, and holds each state for an
-    Exp(L) time from a second stream, seed's first child (derived without
-    advancing seed's spawn counter). A row is kept for the empty state, for
-    each step that moves a queue by the horizon, and for the horizon;
-    fictitious steps only pass time.
+    policy is a name in POLICY_NAMES; anything else gets make_policy's
+    ValueError before anything is drawn. The run walks the uniformized
+    jump chain (_chain_step) on uniforms from PCG64(seed), the stream
+    experiments._chain_cost reads, and holds each state for an Exp(L) time
+    from a second stream, seed's first child (derived without advancing
+    seed's spawn counter). A row is kept for the empty state, for each step
+    that moves a queue by the horizon, and for the horizon; fictitious
+    steps only pass time.
 
-    Server 1's activity is the policy's, called once per row, so policy
-    must be a function of the queues alone. Server 2's is buffer 3 whenever
-    it is nonempty, by the policies module's contract, which the chain
-    assumes; a callable's server-2 choice is not consulted. The same (net,
-    policy, horizon, seed) always reproduces the identical trajectory,
-    whether seed is an int or a SeedSequence. A run that event_budget
-    estimates above _MAX_EVENTS raises ValueError.
+    Server 1's activity is make_policy(policy, net)'s, called once per row.
+    Server 2's is buffer 3 whenever it is nonempty, by the policies
+    module's contract, which the chain assumes. The same (net, policy,
+    horizon, seed) always reproduces the identical trajectory, whether seed
+    is an int or a SeedSequence. A run that event_budget estimates above
+    _MAX_EVENTS raises ValueError.
     """
     if not (horizon >= 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon = {horizon!r} must be finite and >= 0")
     events = event_budget(net, horizon)
-    policy_fn = make_policy(policy, net) if isinstance(policy, str) else policy
+    policy_fn = make_policy(policy, net)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     uniforms = np.random.Generator(np.random.PCG64(ss))

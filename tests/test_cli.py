@@ -122,6 +122,18 @@ def test_negative_seed_override_exits_2(config_path, capsys, command, args):
     assert "--seed" in payload["detail"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "diagnostics"])
+def test_negative_rep_exits_2_naming_it(config_path, capsys, command):
+    assert main([command, "--config", config_path, "--r", "5", "--horizon-scaled", "0.1", "--rep", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "arguments"
+    assert "rep" in payload["detail"]
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["thresholds", "--config", "/no/such/file.json"]) == 2
     err = capsys.readouterr().err.strip()

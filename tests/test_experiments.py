@@ -23,16 +23,13 @@ from crisscross.experiments import (
     run_diagnostics,
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.policies import _PRIORITY_ORDER, _threshold_levels, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, make_policy
+from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, POLICY_NAMES, make_policy
 from crisscross.simulate import (
     ScaledTrajectory,
     Trajectory,
-    _called_services,
+    _chain_step,
     _clock_rate,
-    _gates,
     _reflect,
-    _server1_steps,
-    _threshold_services,
     diffusion_scale,
     fluid_scale,
     simulate,
@@ -128,6 +125,20 @@ def test_estimate_cost_argument_checks():
         estimate_cost(net, "threshold", 0.0, LIMITS.h, 0.5, 2, seed=0)
 
 
+def test_a_policy_is_a_name():
+    """A closure or an unknown name gets make_policy's ValueError, and a
+    replication index that is not a non-negative int is refused by name."""
+    net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
+    for policy in (make_policy("threshold", net), "lifo"):
+        with pytest.raises(ValueError, match="unknown policy"):
+            simulate(net, policy, 10.0, 0)
+        with pytest.raises(ValueError, match="unknown policy"):
+            estimate_cost(net, policy, 1.0, LIMITS.h, 0.5, 2, seed=0)
+    for rep in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="rep"):
+            replicate(net, "threshold", 0.5, 0, rep)
+
+
 def _poisson_outside(mean, lo, hi):
     """Upper bound on P(Pois(mean) < lo) + P(Pois(mean) >= hi), from
     log-gamma rather than the cumulative sums of the chain weights: past an
@@ -157,22 +168,18 @@ def test_chain_weights_integrate_the_holding_times_exactly(r):
     assert _poisson_outside(rate * u, weights.end_lo, weights.end_lo + weights.end_pmf.size) < 1e-15
 
 
-def _chain_samples(net, policy_fn, h, gamma, horizon_scaled, n_reps, seed):
-    weights = _chain_weights(net, gamma, horizon_scaled)
-    return np.array([_chain_cost(net, policy_fn, weights, h, replication_seed(seed, net.r, k)).value for k in range(n_reps)])
-
-
 def _mean_and_stderr(samples):
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
 
 
-def _stepwise_chain(net, policy_fn, x):
+def _stepwise_chain(net, policy_fn, x, q0=(0, 0, 0)):
     """Test-only oracle of the chain: one Python loop over every step of
-    the uniforms x, scaled to [0, L), consulting the policy at each. It
-    returns the state before each step and after the last, (n + 1, 3)."""
+    the uniforms x, scaled to [0, L), from the queues q0, consulting the
+    policy at each. It shares no code with _chain_step, and returns the
+    state before each step and after the last, (n + 1, 3)."""
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
-    q1 = q2 = q3 = 0
+    q1, q2, q3 = q0
     states = [(q1, q2, q3)]
     for u in x.tolist():
         a1, a2 = policy_fn(q1, q2, q3)
@@ -189,6 +196,11 @@ def _stepwise_chain(net, policy_fn, x):
             q3 -= 1
         states.append((q1, q2, q3))
     return np.array(states, dtype=np.int64)
+
+
+def _stacked(states):
+    """A {buffer: path} dict of _chain_step as an (n, 3) array."""
+    return np.stack([states[b] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1)
 
 
 def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
@@ -241,29 +253,38 @@ def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_chain_cost_agrees_with_the_event_engine(limits, policy):
-    """The chain's cost is the event engine's path cost averaged over the
-    holding times, so their means agree; the two use separate seeds."""
+def test_chain_cost_is_the_mean_of_its_path_cost(limits, policy):
+    """Replication k's chain cost is the mean, given its chain, of the path
+    cost of replicate's run k, which walks that chain with drawn holding
+    times; so the per-replication differences have mean 0."""
     net = make_r_network(limits, 5.0, 1.2, 3.0)
-    policy_fn = make_policy(policy, net)
     n_reps, horizon_scaled = 600, 2.0
-    chain = _chain_samples(net, policy_fn, limits.h, limits.gamma, horizon_scaled, n_reps, seed=11)
-    events = np.array(
+    weights = _chain_weights(net, limits.gamma, horizon_scaled)
+    diffs = np.array(
         [
-            discounted_cost(diffusion_scale(replicate(net, policy_fn, horizon_scaled, 12, k), net), limits.h, limits.gamma).value
+            _chain_cost(net, policy, weights, limits.h, replication_seed(11, net.r, k)).value
+            - discounted_cost(diffusion_scale(replicate(net, policy, horizon_scaled, 11, k), net), limits.h, limits.gamma).value
             for k in range(n_reps)
         ]
     )
-    (m_chain, se_chain), (m_events, se_events) = _mean_and_stderr(chain), _mean_and_stderr(events)
-    assert abs(m_chain - m_events) <= 4.0 * math.hypot(se_chain, se_events), (m_chain, se_chain, m_events, se_events)
+    mean, stderr = _mean_and_stderr(diffs)
+    assert abs(mean) <= 4.0 * stderr, (mean, stderr)
 
 
-def test_chain_cost_of_the_idle_policy_has_its_closed_form_mean():
-    """Nothing is served, so h.Q = Q1 is the arrival-1 count, whose
-    discounted integral has mean lam1 int_0^U e^(-gu) u du / r^3."""
+def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
+    """The arrival-1 count before each step, read from a replication's
+    uniforms as cumsum(x < lam1), summed against the holding-time weights,
+    is the discounted integral of a Poisson count, with mean
+    lam1 int_0^U e^(-gu) u du / r^3."""
     r, horizon_scaled = 5.0, 15.0
     net = make_r_network(LIMITS, r, 1.2, 3.0)
-    samples = _chain_samples(net, lambda q1, q2, q3: (IDLE, IDLE), (1.0, 0.0, 0.0), LIMITS.gamma, horizon_scaled, 400, seed=13)
+    weights = _chain_weights(net, LIMITS.gamma, horizon_scaled)
+    n, rate = weights.n_steps, _clock_rate(net)
+    c = weights.value(0, n) * weights.value_scale
+    samples = np.empty(400)
+    for k in range(samples.size):
+        x = np.random.Generator(np.random.PCG64(replication_seed(13, r, k))).random(n) * rate
+        samples[k] = c[1:] @ np.cumsum(x < net.lam[0])[:-1]  # no arrival before step 0
     g, u = LIMITS.gamma / r**2, r * r * horizon_scaled
     exact = net.lam[0] * (1.0 - math.exp(-g * u) * (1.0 + g * u)) / g**2 / r**3
     mean, stderr = _mean_and_stderr(samples)
@@ -282,33 +303,40 @@ def test_chain_cost_bits_do_not_depend_on_the_block_size(policy):
     assert len(set(costs.values())) == 1, costs
 
 
+def _assert_chain_step_walks_its_oracle(limits, r, policy):
+    """_chain_step's states before and after each step, in blocks of
+    several sizes and in one block of all steps, are the stepwise oracle's,
+    which calls the policy's closure at every step."""
+    net = make_r_network(limits, r, 1.2, 3.0)
+    n = _chain_weights(net, limits.gamma, 15.0).n_steps
+    x = np.random.Generator(np.random.PCG64(replication_seed(7, r, 0))).random(n) * _clock_rate(net)
+    states = _stepwise_chain(net, make_policy(policy, net), x)
+    for block in (_CHAIN_BLOCK, 1000, 4097, n):
+        q, pre, post = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}, [], []
+        for start in range(0, n, block):
+            before, after = _chain_step(net, policy, q, x[start : start + block])
+            pre.append(_stacked(before))
+            post.append(_stacked(after))
+            q = {b: int(path[-1]) for b, path in after.items()}
+        assert np.array_equal(np.concatenate(pre), states[:-1]), block
+        assert np.array_equal(np.concatenate(post), states[1:]), block
+
+
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
-@pytest.mark.parametrize("r", [5.0, 20.0])
+@pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
 @pytest.mark.parametrize("policy", list(_PRIORITY_ORDER))
 def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy):
-    """A priority name takes the cascaded reflections, its closure the
-    per-step calls; every block size gives both the same bits."""
-    net = make_r_network(limits, r, 1.2, 3.0)
-    weights = _chain_weights(net, limits.gamma, 15.0)
-    seed = replication_seed(7, r, 0)
-    for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps):
-        cascade = _chain_cost(net, policy, weights, limits.h, seed, block)
-        called = _chain_cost(net, make_policy(policy, net), weights, limits.h, seed, block)
-        assert cascade == called, (block, cascade, called)
+    """A priority name takes the cascaded reflections; the oracle calls its
+    closure at every step."""
+    _assert_chain_step_walks_its_oracle(limits, r, policy)
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
 def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
-    """The name "threshold" takes the inlined rule, its closure the
-    per-step calls; every block size gives both the same bits."""
-    net = make_r_network(limits, r, 1.2, 3.0)
-    weights = _chain_weights(net, limits.gamma, 15.0)
-    seed = replication_seed(7, r, 0)
-    for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps):
-        inlined = _chain_cost(net, "threshold", weights, limits.h, seed, block)
-        called = _chain_cost(net, make_policy("threshold", net), weights, limits.h, seed, block)
-        assert inlined == called, (block, inlined, called)
+    """The name "threshold" takes the inlined rule; the oracle calls its
+    closure at every step."""
+    _assert_chain_step_walks_its_oracle(limits, r, "threshold")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -321,29 +349,21 @@ def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
 )
 def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0, c, data):
     """One block from start queues up to 3 threshold_high, so that both
-    modes and the q1 = 0 and q2 = 0 edges are met: the inlined rule serves
-    buffers 1 and 2 at exactly the closure's steps."""
+    modes and the q1 = 0 and q2 = 0 edges are met: the inlined rule moves
+    the queues exactly as the stepwise oracle, calling the closure at every
+    step from the same start, does."""
     try:
         net = make_r_network(limits, r, ell0, c)
     except ValueError:  # below the usability floor
         assume(False)
     top = 3 * net.threshold_high
-    q = dict(zip((BUFFER1, BUFFER2, BUFFER3), data.draw(st.tuples(*[st.integers(0, top)] * 3), label="q")))
+    q0 = data.draw(st.tuples(*[st.integers(0, top)] * 3), label="q")
     u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64), label="u")
     x = np.array(u) * _clock_rate(net)
-    lam1, lam2 = net.lam
-    mu1, mu2, _ = net.mu
-    edge1 = lam1 + lam2
-    arrive = {BUFFER1: x < lam1, BUFFER2: (x >= lam1) & (x < edge1)}
-    band1 = (x >= edge1) & (x < edge1 + max(mu1, mu2))
-    band2 = x >= edge1 + max(mu1, mu2)
-    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
-    steps, rows = _server1_steps(x, arrive, band1, band2, serve)
-    rows = list(rows)
-    inlined = _gates(x.shape[0], steps, _threshold_services(_threshold_levels(net), q, rows))
-    called = _gates(x.shape[0], steps, _called_services(make_policy("threshold", net), q, rows))
-    for b in (BUFFER1, BUFFER2):
-        assert inlined[b].tolist() == called[b].tolist(), (b, q, u)
+    pre, post = _chain_step(net, "threshold", dict(zip((BUFFER1, BUFFER2, BUFFER3), q0)), x)
+    states = _stepwise_chain(net, make_policy("threshold", net), x, q0)
+    assert _stacked(pre).tolist() == states[:-1].tolist(), (q0, u)
+    assert _stacked(post).tolist() == states[1:].tolist(), (q0, u)
 
 
 @settings(max_examples=300, deadline=None)

@@ -26,10 +26,6 @@ DRIFTED = NetworkLimits(
 ASYMMETRIC = NetworkLimits(lam=(0.8, 1.8), mu=(2.0, 3.0, 1.8), h=(1.2, 1.0, 0.6), gamma=1.0)
 
 
-def _idle_server1(q1: int, q2: int, q3: int) -> tuple[int, int]:
-    return (0, BUFFER3 if q3 > 0 else 0)
-
-
 def test_zero_horizon_gives_the_empty_initial_state():
     net = make_r_network(LIMITS, 10.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 0.0, 0)
@@ -97,19 +93,6 @@ def test_arrival_rates_obey_the_law_of_large_numbers():
         if limits is ASYMMETRIC:
             for j in range(3):
                 assert traj.counts[-1, 2 + j] / traj.alloc[-1, j] == pytest.approx(net.mu[j], rel=0.08), (policy, j)
-
-
-def test_forced_idleness_at_server_one():
-    """With server 1 switched off, buffers 1 and 2 hold every arrival."""
-    net = make_r_network(LIMITS, 10.0, 1.2, 3.0)
-    traj = simulate(net, _idle_server1, 800.0, 5)
-    assert traj.alloc[-1, 0] == 0.0
-    assert traj.alloc[-1, 1] == 0.0
-    assert traj.counts[-1, 2] == 0 and traj.counts[-1, 3] == 0
-    np.testing.assert_array_equal(traj.queues[:, 0], traj.counts[:, 0])
-    np.testing.assert_array_equal(traj.queues[:, 1], traj.counts[:, 1])
-    np.testing.assert_array_equal(traj.queues[:, 2], 0)
-    assert check_conservation(traj).ok
 
 
 @pytest.mark.parametrize("policy", ["threshold", "priority1", "priority2"])
