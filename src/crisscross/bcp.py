@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import NetworkLimits, validate_limits
+from .params import NetworkLimits, _require_valid
 from .simulate import SeedLike
 from .workload import WorkloadMatrix, cheapest_queues, effective_cost_coefficients
 
@@ -57,9 +57,7 @@ class LimitBm:
 
     @classmethod
     def from_limits(cls, limits: NetworkLimits) -> "LimitBm":
-        report = validate_limits(limits)
-        if not report.ok:
-            raise ValueError(str(report))
+        _require_valid(limits)
         lam1, lam2 = limits.lam
         mu1, mu2, mu3 = limits.mu
         b1, b2, b3 = limits.b

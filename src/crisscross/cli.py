@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bcp import CostEstimate, estimate_j_star
-from .experiments import DiagnosticsReport, LdCheckRow, convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
+from .experiments import DiagnosticsReport, DiscountedCostRun, LdCheckRow, convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
 from .params import Config, ConfigError, ThresholdConstants, compute_threshold_constants, is_seed, load_config, make_r_network
 from .policies import POLICY_NAMES
 from .simulate import SCALES, ScaledTrajectory, diffusion_scale, write_scaled_csv
@@ -26,6 +26,8 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -43,6 +45,11 @@ def _names(record_type, *skip: str) -> list[str]:
 
 def _cells(record, names: list[str]) -> list[str]:
     return [_fmt(getattr(record, name)) for name in names]
+
+
+def _pairs(record, names: list[str]) -> str:
+    """A record's fields as space-separated name=value pairs."""
+    return " ".join(f"{name}={cell}" for name, cell in zip(names, _cells(record, names)))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -136,32 +143,16 @@ def _cmd_bcp(cfg: Config, args, fh) -> None:
 def _cmd_converge(cfg: Config, args, fh) -> None:
     policies = tuple(name.strip() for name in args.policies.split(",") if name.strip())
     result = convergence_sweep(cfg, policies, args.bcp_dt, args.bcp_paths)
-    j = result.j_star
-    fh.write(
-        "# j_star mean=%s stderr=%s n_paths=%d dt=%s horizon=%s\n"
-        % (_fmt(j.mean), _fmt(j.stderr), j.n_paths, _fmt(j.dt), _fmt(j.horizon))
-    )
-    fh.write("r,policy,mean,stderr,n_reps,threshold_low,threshold_high,gap\n")
+    fh.write(f"# j_star {_pairs(result.j_star, _names(CostEstimate, 'truncation_bound', 'marginals'))}\n")
+    cols = _names(DiscountedCostRun, "horizon_scaled", "truncation_bound")
+    fh.write(",".join([*cols, "gap"]) + "\n")
     for run in result.runs:
-        fh.write(
-            "%s,%s,%s,%s,%d,%d,%d,%s\n"
-            % (
-                _fmt(run.r),
-                run.policy,
-                _fmt(run.mean),
-                _fmt(run.stderr),
-                run.n_reps,
-                run.threshold_low,
-                run.threshold_high,
-                _fmt(result.gap(run)),
-            )
-        )
+        fh.write(",".join([*_cells(run, cols), _fmt(result.gap(run))]) + "\n")
 
 
 def _cmd_thresholds(cfg: Config, args, fh) -> None:
     constants = compute_threshold_constants(cfg.limits)
-    pairs = " ".join(f"{name}={_fmt(getattr(constants, name))}" for name in _names(ThresholdConstants))
-    fh.write(f"# constants {pairs}\n")
+    fh.write(f"# constants {_pairs(constants, _names(ThresholdConstants))}\n")
     fh.write("r,threshold_low,threshold_high\n")
     for r in cfg.r_list:
         net = make_r_network(cfg.limits, r, cfg.ell0, cfg.c)
@@ -170,7 +161,10 @@ def _cmd_thresholds(cfg: Config, args, fh) -> None:
 
 def _cmd_ld_check(cfg: Config, args, fh) -> None:
     rate = cfg.limits.lam[0] if args.rate is None else args.rate
-    t_grid = tuple(float(s) for s in args.t_grid.split(",") if s.strip())
+    try:
+        t_grid = tuple(float(s) for s in args.t_grid.split(",") if s.strip())
+    except ValueError:
+        raise ValueError(f"--t-grid {args.t_grid!r} must be comma-separated numbers") from None
     rows = ld_check(rate, args.eps, t_grid, args.samples, cfg.seed)
     cols = _names(LdCheckRow)
     fh.write(",".join(cols) + "\n")

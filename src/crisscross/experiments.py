@@ -15,7 +15,7 @@ import numpy as np
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
 from .policies import BUFFER1, BUFFER2, BUFFER3, make_policy
-from .simulate import _CHAIN_BLOCK, ScaledTrajectory, Trajectory, _chain_step, _clock_rate, event_budget, simulate
+from .simulate import ScaledTrajectory, Trajectory, _clock_rate, _walk, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -38,6 +38,9 @@ __all__ = [
 _SIM_TAG = 1
 _BCP_TAG = 2
 _LD_TAG = 3
+
+# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 class PathCost(NamedTuple):
@@ -166,15 +169,6 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
     return lo, p / p.sum()
 
 
-def _on_window(start: int, stop: int, lo: int, vals: np.ndarray, below: float) -> np.ndarray:
-    """vals[k - lo] for k in [start, stop): below under the window, 0 past it."""
-    out = np.zeros(stop - start)
-    i, j = (min(max(edge - start, 0), stop - start) for edge in (lo, lo + vals.shape[0]))
-    out[:i] = below
-    out[i:j] = vals[start + i - lo : start + j - lo]
-    return out
-
-
 @dataclass(frozen=True)
 class _ChainWeights:
     """Holding-time weights of the uniformized chain, shared by every
@@ -186,27 +180,14 @@ class _ChainWeights:
     chain, E int_0^U e^(-gu) h.Q(u) du = sum_k c_k h.Q_k with
     c_k = rho^k/(L+g) P(Pois((L+g)U) >= k+1), rho = L/(L+g), and the state
     at U is Q_k with probability P(Pois(LU) = k). Past
-    n_steps = ceil(m + 12 sqrt(m) + 20), m = (L+g)U, both fall below 1e-15.
+    K = ceil(m + 12 sqrt(m) + 20), m = (L+g)U, both fall below 1e-15, so
+    the chain stops after K steps: 16 bytes of weights per step.
     """
 
-    n_steps: int
-    log_rho: float
-    inv_rate: float
-    surv_lo: int
-    surv: np.ndarray      # P(Pois((L+g)U) >= k+1) on [surv_lo, n_steps); 1 below
-    end_lo: int
-    end_pmf: np.ndarray   # P(Pois(LU) = k) on [end_lo, end_lo + len); 0 outside
+    value: np.ndarray     # (K,) c_k
+    end: np.ndarray       # (K,) P(Pois(LU) = k)
     value_scale: float    # r^-3: diffusion amplitude 1/r, time 1/r^2
     end_scale: float      # e^(-gamma H)/(r gamma): the final state held forever
-
-    def value(self, start: int, stop: int) -> np.ndarray:
-        """c_k for k in [start, stop)."""
-        rho_k = np.exp(np.arange(start, stop) * self.log_rho)
-        return rho_k * self.inv_rate * _on_window(start, stop, self.surv_lo, self.surv, 1.0)
-
-    def end(self, start: int, stop: int) -> np.ndarray:
-        """P(Pois(LU) = k) for k in [start, stop)."""
-        return _on_window(start, stop, self.end_lo, self.end_pmf, 0.0)
 
 
 def _chain_weights(net: RNetwork, gamma: float, horizon_scaled: float) -> _ChainWeights:
@@ -217,16 +198,18 @@ def _chain_weights(net: RNetwork, gamma: float, horizon_scaled: float) -> _Chain
     rate = _clock_rate(net)
     g = gamma / (net.r * net.r)
     surv_lo, pmf = _poisson_window((rate + g) * horizon)
-    surv = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)
+    n_steps = surv_lo + pmf.shape[0]
+    value = np.arange(n_steps, dtype=float)
+    value *= -math.log1p(g / rate)
+    np.exp(value, out=value)
+    value *= 1.0 / (rate + g)
+    value[surv_lo:] *= np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)  # P(Pois >= k+1); 1 below the window
+    end = np.zeros(n_steps)
     end_lo, end_pmf = _poisson_window(rate * horizon)
+    end[end_lo : end_lo + end_pmf.shape[0]] = end_pmf
     return _ChainWeights(
-        n_steps=surv_lo + pmf.shape[0],
-        log_rho=-math.log1p(g / rate),
-        inv_rate=1.0 / (rate + g),
-        surv_lo=surv_lo,
-        surv=surv,
-        end_lo=end_lo,
-        end_pmf=end_pmf,
+        value=value,
+        end=end,
         value_scale=net.r**-3,
         end_scale=math.exp(-gamma * horizon_scaled) / (net.r * gamma),
     )
@@ -239,33 +222,22 @@ def _carried_sum(carry: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _chain_cost(
-    net: RNetwork,
-    policy: str,
-    weights: _ChainWeights,
-    h: Sequence[float],
-    seed: np.random.SeedSequence,
-    block: int = _CHAIN_BLOCK,
-) -> PathCost:
+def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[float], seed: np.random.SeedSequence) -> PathCost:
     """One replication's discounted cost on the uniformized jump chain
-    (_chain_step), with the holding times integrated out (_ChainWeights).
+    (simulate._walk), with the holding times integrated out (_ChainWeights).
 
-    The steps run in blocks of `block`; the uniforms are one stream and
-    every sum is carried left to right, so the bits do not depend on
-    `block`.
+    Every sum is carried left to right across the walk's blocks, so it has
+    the bits of one sum over all the steps.
     """
-    rate = _clock_rate(net)
     h1, h2, h3 = (float(x) for x in h)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
     value = end = 0.0
-    for start in range(0, weights.n_steps, block):
-        stop = min(start + block, weights.n_steps)
-        pre, post = _chain_step(net, policy, q, gen.random(stop - start) * rate)
-        q = {b: int(path[-1]) for b, path in post.items()}
-        hq = h1 * pre[BUFFER1] + h2 * pre[BUFFER2] + h3 * pre[BUFFER3]
-        value = _carried_sum(value, weights.value(start, stop) * hq)
-        end = _carried_sum(end, weights.end(start, stop) * hq)
+    start = 0
+    for path in _walk(net, policy, seed, weights.value.shape[0]):
+        hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
+        stop = start + hq.shape[0]
+        value = _carried_sum(value, weights.value[start:stop] * hq)
+        end = _carried_sum(end, weights.end[start:stop] * hq)
+        start = stop
     return PathCost(value * weights.value_scale, end * weights.end_scale)
 
 
@@ -444,8 +416,8 @@ def ld_check(
     For each window length t, estimates P(|N(t)/t - rate| >= eps) from
     n_samples Poisson draws and compares with 2 exp(-t * varsigma2(rate, eps)).
     """
-    if not (rate > 0.0):
-        raise ValueError(f"rate = {rate!r} must be > 0")
+    if not (0.0 < rate < math.inf):
+        raise ValueError(f"rate = {rate!r} must be finite and > 0")
     if not (0.0 < eps < rate):
         raise ValueError(f"need 0 < eps < rate, got eps = {eps!r}, rate = {rate!r}")
     if n_samples < 1:
@@ -455,6 +427,11 @@ def ld_check(
     for t in t_grid:
         if not (0.0 <= t < math.inf):
             raise ValueError(f"window length t = {t!r} must be finite and >= 0")
+        if rate * t > _POISSON_MEAN_MAX:
+            raise ValueError(
+                f"window length t = {t!r} at rate = {rate!r} needs a Poisson mean of {rate * t:.3g}, "
+                f"above the sampler's limit of {_POISSON_MEAN_MAX:.3g}"
+            )
     decay = varsigma2(rate, eps)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, _LD_TAG))))
     rows = []

@@ -5,17 +5,17 @@ exponential services, and a policy that is a function of the queues. Its
 uniformized jump chain, one clock at the rate L of _clock_rate and one
 uniform per step to pick the step's move, with Exp(L) holding times, is the
 same process in law. _chain_step is the one definition of that chain's
-step. simulate walks it with the holding times drawn, and
-experiments._chain_cost with them integrated out; both read the step
-uniforms from PCG64(seed), so a replication's record and its cost are one
-chain.
+step, and _walk of its stream: the step uniforms of PCG64(seed), read in
+blocks with the queues carried from one block to the next. simulate walks
+it with the holding times drawn, and experiments._chain_cost with them
+integrated out, so a replication's record and its cost are one chain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -132,18 +132,16 @@ def event_budget(net: RNetwork, horizon: float) -> float:
     return events
 
 
-def _reflect(q0: int, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reflect(q0: int, inc: np.ndarray) -> np.ndarray:
     """Lindley's recursion q_k = max(q_{k-1} + inc_k, 0) from q0 >= 0: the
-    queue before and after each step. The reflected walk is the free walk
-    q0 + cumsum(inc) less its running minimum where that is below 0, so it
-    is exact on integers."""
-    post = np.cumsum(inc, dtype=np.int64)
-    post += q0
-    post -= np.minimum(np.minimum.accumulate(post), 0)
-    pre = np.empty_like(post)
-    pre[0] = q0
-    pre[1:] = post[:-1]
-    return pre, post
+    queue's path, q0 first, then its value after each step. The reflected
+    walk is the free walk q0 + cumsum(inc) less its running minimum where
+    that is below 0, so it is exact on integers."""
+    path = np.zeros(inc.shape[0] + 1, dtype=np.int64)
+    np.cumsum(inc, dtype=np.int64, out=path[1:])
+    path += q0
+    path -= np.minimum(np.minimum.accumulate(path), 0)
+    return path
 
 
 def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -208,11 +206,11 @@ def _threshold_gates(
     return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
 
 
-def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
     """One block of the network's uniformized jump chain under the named
     policy: from the queues q before the block and its uniforms x, scaled to
-    [0, L) (_clock_rate), each queue before and after each step, keyed by
-    buffer.
+    [0, L) (_clock_rate), each queue's path over the block, keyed by buffer:
+    n + 1 values, q first, then the queue after each step.
 
     Each uniform falls in one of four bands: arrival 1 (width lam1),
     arrival 2 (lam2), server 1 (max(mu1, mu2)) and server 2 (mu3). In
@@ -244,20 +242,44 @@ def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) ->
     arrive = {BUFFER1: arrive1, BUFFER2: (x < edge1) & ~arrive1}
     band1 = (x >= edge1) & (x < edge2)
     band2 = x >= edge2
-    pre, post = {}, {}
+    path = {}
     if policy == "threshold":
         gate = _threshold_gates(_threshold_levels(net), q, x, arrive, band1, band2, serve)
         for b in (BUFFER1, BUFFER2):
-            pre[b], post[b] = _reflect(q[b], _less(arrive[b], gate[b]))
+            path[b] = _reflect(q[b], _less(arrive[b], gate[b]))
     else:
         first, second = _PRIORITY_ORDER[policy]
         gate = {first: band1 & (x < serve[first])}
-        pre[first], post[first] = _reflect(q[first], _less(arrive[first], gate[first]))
-        gate[second] = band1 & (x < serve[second]) & (pre[first] == 0)
-        pre[second], post[second] = _reflect(q[second], _less(arrive[second], gate[second]))
-    served2 = gate[BUFFER2] & (pre[BUFFER2] > 0)
-    pre[BUFFER3], post[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
-    return pre, post
+        path[first] = _reflect(q[first], _less(arrive[first], gate[first]))
+        gate[second] = band1 & (x < serve[second]) & (path[first][:-1] == 0)
+        path[second] = _reflect(q[second], _less(arrive[second], gate[second]))
+    served2 = gate[BUFFER2] & (path[BUFFER2][:-1] > 0)
+    path[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
+    return path
+
+
+def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: float, block: int = _CHAIN_BLOCK) -> Iterator[dict[int, np.ndarray]]:
+    """The uniformized jump chain of net under policy from the empty state,
+    as _chain_step's paths over consecutive blocks of at most block steps,
+    n_steps in all (math.inf: until the caller stops).
+
+    This is the one definition of the chain's stream: its uniforms are
+    PCG64(seed)'s doubles in order, one per step, scaled to [0, L), and each
+    block starts from the queues the previous one ended in. Both walks read
+    it: simulate with Exp(L) holding times, experiments._chain_cost with
+    them integrated out. The uniforms are one stream, so the chain does not
+    depend on block.
+    """
+    rate = _clock_rate(net)
+    uniforms = np.random.Generator(np.random.PCG64(seed))
+    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
+    done = 0
+    while done < n_steps:
+        size = min(block, n_steps - done)
+        path = _chain_step(net, policy, q, uniforms.random(size) * rate)
+        q = {b: int(p[-1]) for b, p in path.items()}
+        done += size
+        yield path
 
 
 def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Trajectory:
@@ -265,12 +287,11 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
 
     policy is a name in POLICY_NAMES; anything else gets make_policy's
     ValueError before anything is drawn. The run walks the uniformized
-    jump chain (_chain_step) on uniforms from PCG64(seed), the stream
-    experiments._chain_cost reads, and holds each state for an Exp(L) time
-    from a second stream, seed's first child (derived without advancing
-    seed's spawn counter). A row is kept for the empty state, for each step
-    that moves a queue by the horizon, and for the horizon; fictitious
-    steps only pass time.
+    jump chain on seed's stream (_walk), as experiments._chain_cost does,
+    and holds each state for an Exp(L) time from a second stream, seed's
+    first child (derived without advancing seed's spawn counter). A row is
+    kept for the empty state, for each step that moves a queue by the
+    horizon, and for the horizon; fictitious steps only pass time.
 
     Server 1's activity is make_policy(policy, net)'s, called once per row.
     Server 2's is buffer 3 whenever it is nonempty, by the policies
@@ -285,30 +306,28 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     policy_fn = make_policy(policy, net)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    uniforms = np.random.Generator(np.random.PCG64(ss))
     clock_seed = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
     clock = np.random.Generator(np.random.PCG64(clock_seed))
-    rate = _clock_rate(net)
-    mean_hold = 1.0 / rate
+    mean_hold = 1.0 / _clock_rate(net)
     # Blocks that mostly cover a run of the estimated length in one pass.
     block = min(_CHAIN_BLOCK, math.ceil(events + 4.0 * math.sqrt(events)) + 1)
 
-    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
     t = 0.0
     epochs, queues = [np.zeros(1)], [np.zeros((1, 3), dtype=np.int64)]
-    while t <= horizon:
-        pre, post = _chain_step(net, policy, q, uniforms.random(block) * rate)
+    for path in _walk(net, policy, ss, math.inf, block):
         hold = clock.exponential(mean_hold, block)
         while not hold.all():  # an exact 0 has probability ~2^-53; dropping it keeps the law
             hold = np.append(hold[hold > 0.0], clock.exponential(mean_hold, block - np.count_nonzero(hold)))
         hold[0] += t
         at = np.cumsum(hold)  # each step's epoch, carried left to right across blocks
-        moved = (pre[BUFFER1] != post[BUFFER1]) | (pre[BUFFER2] != post[BUFFER2]) | (pre[BUFFER3] != post[BUFFER3])
+        p1, p2, p3 = path[BUFFER1], path[BUFFER2], path[BUFFER3]
+        moved = (p1[1:] != p1[:-1]) | (p2[1:] != p2[:-1]) | (p3[1:] != p3[:-1])
         kept = moved & (at <= horizon)
         epochs.append(at[kept])
-        queues.append(np.stack([post[b][kept] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1))
-        q = {b: int(path[-1]) for b, path in post.items()}
+        queues.append(np.stack([p1[1:][kept], p2[1:][kept], p3[1:][kept]], axis=1))
         t = float(at[-1])
+        if t > horizon:
+            break
     # A terminal row holds the last state at the horizon, unless a step fell on it.
     last = [k for k, piece in enumerate(epochs) if piece.size][-1]
     if epochs[last][-1] < horizon:

@@ -307,18 +307,34 @@ def test_diagnostics_rejects_a_guard_level_that_is_not_finite_and_nonnegative(co
 
 
 @pytest.mark.parametrize(
-    "t_grid,message",
+    "t_grid,message,rate",
     [
-        ("nan", "window length"),
-        ("inf", "window length"),
-        ("5,-inf", "window length"),
-        ("-1", "window length"),
-        ("", "at least one window length"),
-        (",", "at least one window length"),
+        ("nan", "window length", []),
+        ("inf", "window length", []),
+        ("5,-inf", "window length", []),
+        ("-1", "window length", []),
+        ("", "at least one window length", []),
+        (",", "at least one window length", []),
+        ("5,abc", "--t-grid '5,abc'", []),
+        ("1e300", "t = 1e+300 at rate = 1.0", []),
+        ("10", "t = 10.0 at rate = 1e+300", ["--rate", "1e300"]),
+        ("0", "rate = inf must be finite", ["--rate", "inf"]),
+    ],
+    ids=[
+        "nan-window length",
+        "inf-window length",
+        "5,-inf-window length",
+        "-1-window length",
+        "-at least one window length",
+        ",-at least one window length",
+        "not-a-number",
+        "huge-t",
+        "huge-rate",
+        "infinite-rate",
     ],
 )
-def test_ld_check_rejects_an_unusable_window_grid(config_path, capsys, t_grid, message):
-    assert main(["ld-check", "--config", config_path, "--t-grid", t_grid, "--samples", "10"]) == 2
+def test_ld_check_rejects_an_unusable_window_grid(config_path, capsys, t_grid, message, rate):
+    assert main(["ld-check", "--config", config_path, "--t-grid", t_grid, "--samples", "10", *rate]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     payload = json.loads(captured.err)

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crisscross.experiments import (
-    _CHAIN_BLOCK,
     _chain_cost,
     _chain_weights,
+    _poisson_window,
     collapse_bound,
     convergence_sweep,
     discounted_cost,
@@ -25,11 +25,13 @@ from crisscross.experiments import (
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
 from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, POLICY_NAMES, make_policy
 from crisscross.simulate import (
+    _CHAIN_BLOCK,
     ScaledTrajectory,
     Trajectory,
     _chain_step,
     _clock_rate,
     _reflect,
+    _walk,
     diffusion_scale,
     fluid_scale,
     simulate,
@@ -157,15 +159,18 @@ def test_chain_weights_integrate_the_holding_times_exactly(r):
     of either Poisson law."""
     net = make_r_network(LIMITS, r, 1.2, 3.0)
     weights = _chain_weights(net, LIMITS.gamma, 15.0)
-    n = weights.n_steps
-    c, end = weights.value(0, n), weights.end(0, n)
+    c, end = weights.value, weights.end
+    n = c.size
     g, u, rate, lam1 = LIMITS.gamma / r**2, r * r * 15.0, _clock_rate(net), net.lam[0]
     assert c.sum() == pytest.approx((1.0 - math.exp(-g * u)) / g, rel=1e-9, abs=0.0)
     first_moment = c @ np.arange(n) * lam1 / rate
     assert first_moment == pytest.approx(lam1 * (1.0 - math.exp(-g * u) * (1.0 + g * u)) / g**2, rel=1e-9, abs=0.0)
     assert end.sum() == pytest.approx(1.0, rel=1e-9, abs=0.0)
-    assert _poisson_outside((rate + g) * u, weights.surv_lo, n) < 1e-15
-    assert _poisson_outside(rate * u, weights.end_lo, weights.end_lo + weights.end_pmf.size) < 1e-15
+    surv_lo, pmf = _poisson_window((rate + g) * u)
+    assert surv_lo + pmf.size == n
+    assert _poisson_outside((rate + g) * u, surv_lo, n) < 1e-15
+    end_lo, end_pmf = _poisson_window(rate * u)
+    assert _poisson_outside(rate * u, end_lo, end_lo + end_pmf.size) < 1e-15
 
 
 def _mean_and_stderr(samples):
@@ -199,18 +204,17 @@ def _stepwise_chain(net, policy_fn, x, q0=(0, 0, 0)):
 
 
 def _stacked(states):
-    """A {buffer: path} dict of _chain_step as an (n, 3) array."""
+    """A {buffer: path} dict of _chain_step as an (n + 1, 3) array."""
     return np.stack([states[b] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1)
 
 
 def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
     """Test-only oracle of _chain_cost: the stepwise chain on the same
     uniforms, and one dot product per weight vector."""
-    n = weights.n_steps
-    x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
+    x = np.random.Generator(np.random.PCG64(seed)).random(weights.value.size) * _clock_rate(net)
     q = _stepwise_chain(net, policy_fn, x)[:-1]
     hq = h[0] * q[:, 0] + h[1] * q[:, 1] + h[2] * q[:, 2]
-    return weights.value(0, n) @ hq * weights.value_scale, weights.end(0, n) @ hq * weights.end_scale
+    return weights.value @ hq * weights.value_scale, weights.end @ hq * weights.end_scale
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
@@ -237,7 +241,7 @@ def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
     net = make_r_network(limits, 10.0, 1.2, 3.0)
     rate = _clock_rate(net)
     for rep, horizon_scaled in enumerate((0.5, 2.0, 40.0)):
-        n = _chain_weights(net, limits.gamma, horizon_scaled).n_steps
+        n = _chain_weights(net, limits.gamma, horizon_scaled).value.size
         seed = replication_seed(5, net.r, rep)
         x = np.random.Generator(np.random.PCG64(seed)).random(n) * rate
         states = _stepwise_chain(net, make_policy(policy, net), x)
@@ -279,8 +283,8 @@ def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
     r, horizon_scaled = 5.0, 15.0
     net = make_r_network(LIMITS, r, 1.2, 3.0)
     weights = _chain_weights(net, LIMITS.gamma, horizon_scaled)
-    n, rate = weights.n_steps, _clock_rate(net)
-    c = weights.value(0, n) * weights.value_scale
+    n, rate = weights.value.size, _clock_rate(net)
+    c = weights.value * weights.value_scale
     samples = np.empty(400)
     for k in range(samples.size):
         x = np.random.Generator(np.random.PCG64(replication_seed(13, r, k))).random(n) * rate
@@ -292,34 +296,42 @@ def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_chain_cost_bits_do_not_depend_on_the_block_size(policy):
+def test_chain_cost_is_one_left_to_right_sum_over_all_steps(policy):
+    """_chain_cost carries its sums across the walk's blocks, so its bits
+    are those of one left-to-right sum of weight times cost over all the
+    steps, here more than two blocks of them."""
     net = make_r_network(ASYMMETRIC_DRIFTED, 20.0, 1.2, 3.0)
     weights = _chain_weights(net, ASYMMETRIC_DRIFTED.gamma, 15.0)
-    assert weights.n_steps > 2 * _CHAIN_BLOCK
-    costs = {
-        block: _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, replication_seed(3, 20.0, 0), block)
-        for block in (_CHAIN_BLOCK, 1000, 4097, weights.n_steps)
-    }
-    assert len(set(costs.values())) == 1, costs
+    n = weights.value.size
+    assert n > 2 * _CHAIN_BLOCK
+    seed = replication_seed(3, 20.0, 0)
+    (path,) = _walk(net, policy, seed, n, n)
+    h1, h2, h3 = ASYMMETRIC_DRIFTED.h
+    hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
+    want = (
+        float(np.cumsum(weights.value * hq)[-1]) * weights.value_scale,
+        float(np.cumsum(weights.end * hq)[-1]) * weights.end_scale,
+    )
+    got = _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, seed)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def _assert_chain_step_walks_its_oracle(limits, r, policy):
-    """_chain_step's states before and after each step, in blocks of
-    several sizes and in one block of all steps, are the stepwise oracle's,
-    which calls the policy's closure at every step."""
+    """The walk's paths, in blocks of several sizes and in one block of all
+    steps, are the stepwise oracle's states on the replication's uniforms;
+    the oracle calls the policy's closure at every step."""
     net = make_r_network(limits, r, 1.2, 3.0)
-    n = _chain_weights(net, limits.gamma, 15.0).n_steps
-    x = np.random.Generator(np.random.PCG64(replication_seed(7, r, 0))).random(n) * _clock_rate(net)
+    n = _chain_weights(net, limits.gamma, 15.0).value.size
+    seed = replication_seed(7, r, 0)
+    x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
     states = _stepwise_chain(net, make_policy(policy, net), x)
     for block in (_CHAIN_BLOCK, 1000, 4097, n):
-        q, pre, post = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}, [], []
-        for start in range(0, n, block):
-            before, after = _chain_step(net, policy, q, x[start : start + block])
-            pre.append(_stacked(before))
-            post.append(_stacked(after))
-            q = {b: int(path[-1]) for b, path in after.items()}
-        assert np.array_equal(np.concatenate(pre), states[:-1]), block
-        assert np.array_equal(np.concatenate(post), states[1:]), block
+        start = 0
+        for path in _walk(net, policy, seed, n, block):
+            got = _stacked(path)
+            assert np.array_equal(got, states[start : start + got.shape[0]]), (block, start)
+            start += got.shape[0] - 1
+        assert start == n, block
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
@@ -360,10 +372,9 @@ def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0
     q0 = data.draw(st.tuples(*[st.integers(0, top)] * 3), label="q")
     u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64), label="u")
     x = np.array(u) * _clock_rate(net)
-    pre, post = _chain_step(net, "threshold", dict(zip((BUFFER1, BUFFER2, BUFFER3), q0)), x)
+    path = _chain_step(net, "threshold", dict(zip((BUFFER1, BUFFER2, BUFFER3), q0)), x)
     states = _stepwise_chain(net, make_policy("threshold", net), x, q0)
-    assert _stacked(pre).tolist() == states[:-1].tolist(), (q0, u)
-    assert _stacked(post).tolist() == states[1:].tolist(), (q0, u)
+    assert _stacked(path).tolist() == states.tolist(), (q0, u)
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,14 +384,11 @@ def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0
     | st.integers(min_value=1, max_value=20).map(lambda n: [-1] * n),
 )
 def test_reflect_is_lindleys_recursion(q0, inc):
-    pre, post = _reflect(q0, np.array(inc, dtype=np.int8))
-    q, want_pre, want_post = q0, [], []
+    path = _reflect(q0, np.array(inc, dtype=np.int8))
+    want = [q0]
     for step in inc:
-        want_pre.append(q)
-        q = max(q + step, 0)
-        want_post.append(q)
-    assert pre.tolist() == want_pre
-    assert post.tolist() == want_post
+        want.append(max(want[-1] + step, 0))
+    assert path.tolist() == want
 
 
 def test_estimate_cost_refuses_a_run_past_the_event_limit_before_allocating():
@@ -395,6 +403,21 @@ def test_estimate_cost_refuses_a_run_past_the_event_limit_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_estimate_cost_holds_its_weights_and_one_block_of_the_walk():
+    """One replication at r = 160 (~1.9M steps) holds the cell's weights,
+    16 bytes per step, and buffers of one block of the walk, whatever r is;
+    a replication buffered whole would take several times the weights."""
+    net = make_r_network(LIMITS, 160.0, 1.2, 3.0)
+    n_steps = _chain_weights(net, LIMITS.gamma, 15.0).value.size
+    tracemalloc.start()
+    try:
+        estimate_cost(net, "priority1", LIMITS.gamma, LIMITS.h, 15.0, 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_steps + (8 << 20), (peak, n_steps)
 
 
 def _tiny_sweep(policies, r_list):
