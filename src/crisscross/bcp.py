@@ -39,9 +39,10 @@ _BATCH_SIZE = 128
 # budget only sets how many paths share a tile, never a result bit.
 _TILE_BYTES = 1 << 18
 
-# Largest buffers estimate_j_star allocates: a batch of k paths of n steps
-# holds 7 n + 2 floats per path, and each path keeps 4 discounted integrals.
-# 2 GiB admit 128 paths at dt = 1e-4 over a horizon of 15.
+# Largest buffers estimate_j_star allocates: a batch of n-step paths holds
+# 4 n + 2 floats per path (normals and reflected workloads), a tile of it
+# 4 n per path (uniforms and work), and each path keeps 4 discounted
+# integrals. 2 GiB admit 128 paths at dt = 5e-5 over a horizon of 15.
 _MAX_BATCH_BYTES = 2 << 30
 
 # Float tolerance of every residual in admissibility_audit.
@@ -298,9 +299,9 @@ def estimate_j_star(
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
-    point). horizon defaults to 15/gamma. A run whose batch buffers and
-    per-path integrals would exceed _MAX_BATCH_BYTES is refused before
-    anything is allocated.
+    point). horizon defaults to 15/gamma. A run whose batch and tile
+    buffers and per-path integrals would exceed _MAX_BATCH_BYTES is refused
+    before anything is allocated.
 
     The same paths also give the discounted integral of each reflected
     workload coordinate, returned in the result's marginals as plain means.
@@ -330,7 +331,8 @@ def estimate_j_star(
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
     batch = min(_BATCH_SIZE, n_paths)
-    need = 8 * (batch * (7 * n + 2) + 4 * n_paths)
+    tile = min(_tile_paths(n), batch)
+    need = 8 * (batch * (4 * n + 2) + tile * 4 * n + 4 * n_paths)
     if need > _MAX_BATCH_BYTES:
         raise ValueError(
             f"{n} steps x {n_paths} paths need {need / 2**30:.3g} GiB of batch buffers and per-path "
@@ -347,20 +349,20 @@ def estimate_j_star(
 
     # Per-path discounted integrals: the cost, each workload coordinate, and
     # the free kink |l . X|, which only the bridge-minima estimate uses. The
-    # batch buffers are allocated once; each tile of whole paths then runs
-    # every stage in place in one (tile, n, 2) work buffer. Once a tile's
-    # normals are spent, the first n floats of each path's row hold |l . X|
-    # and the last n serve as scratch.
+    # buffers are allocated once: the normals z and workloads w per batch,
+    # the uniforms u and the (tile, n, 2) work buffer per tile of whole
+    # paths, which runs every stage in place. Each tile's uniforms are drawn
+    # just before it, after the batch's normals, so the stream is that of
+    # one batch-wide fill. Once a tile's normals are spent, the first n
+    # floats of each path's z row hold |l . X| and the last n its cost.
     samples = [np.empty(n_paths) for _ in range(4)]
-    tile = min(_tile_paths(n), batch)
     z = np.empty((batch, n, 2))
     rows_z = z.reshape(batch, 2 * n)
     kink = rows_z[:, :n]
-    spare = rows_z[:, n:]
-    u = np.empty((batch, n, 2)) if bridge_minima else None
+    cost = rows_z[:, n:]
+    u = np.empty((tile, n, 2)) if bridge_minima else None
     w = np.empty((batch, n + 1, 2))
     w[:, 0] = 0.0
-    cost = np.empty((batch, n))
     work = np.empty((tile, n, 2))
     # Per-step constants as (n, 2) rows: against a (2,) operand numpy runs
     # an inner loop of two elements, about ten times slower.
@@ -369,8 +371,6 @@ def estimate_j_star(
     for start in range(0, n_paths, _BATCH_SIZE):
         k = min(_BATCH_SIZE, n_paths - start)
         gen.standard_normal(out=z[:k])
-        if u is not None:
-            gen.random(out=u[:k])
         for lo in range(0, k, tile):
             p = slice(lo, min(lo + tile, k))
             g = p.stop - lo
@@ -380,25 +380,28 @@ def estimate_j_star(
             buf *= sqdt
             buf += drift_dt
             np.cumsum(buf, axis=1, out=x[:, 1:])
-            s = spare[p]
+            c = cost[p]
             if u is not None:
-                # |l . X| of the free netput at the left points, before reflection.
+                gen.random(out=u[:g])
+                # |l . X| of the free netput at the left points, before
+                # reflection; the cost row is scratch until it is formed.
                 a = kink[p]
                 np.multiply(x[:, :-1, 0], ell[0], out=a)
-                np.multiply(x[:, :-1, 1], ell[1], out=s)
-                a += s
+                np.multiply(x[:, :-1, 1], ell[1], out=c)
+                a += c
                 np.absolute(a, out=a)
-            _running_low(x, None if u is None else u[p], two_var, buf)
+            _running_low(x, None if u is None else u[:g], two_var, buf)
             x[:, 1:] -= buf
-            # The cost beyond heavy1's linear form: (l . w)+.
-            c = cost[p]
+            # The cost beyond heavy1's linear form: (l . w)+, with the spent
+            # work buffer as scratch.
+            s = buf.reshape(g, 2 * n)[:, :n]
             np.multiply(x[:, :-1, 0], ell[0], out=c)
             np.multiply(x[:, :-1, 1], ell[1], out=s)
             c += s
             np.maximum(c, 0.0, out=c)
         # The discount sums run once per batch on the full buffers: BLAS sums
-        # the contiguous rows, numpy's own loop the strided workload views.
-        # Per-tile sums would change the summation order, and so the bits.
+        # the rows of z, numpy's own loop the strided workload views. Per-tile
+        # sums would change the summation order, and so the bits.
         rows = slice(start, start + k)
         m1 = w[:k, :-1, 0] @ wts
         m2 = w[:k, :-1, 1] @ wts

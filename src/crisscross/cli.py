@@ -2,9 +2,10 @@
 
 Every subcommand reads the same JSON config (model limits plus run shape),
 takes an optional --seed override, and writes deterministic text to --out or
-stdout. Config and argument problems, a size too large to allocate among
-them, print a single JSON line on stderr and exit with status 2; success
-exits 0.
+stdout. Config and argument problems, a size too large to allocate and an
+--out path that cannot take the file among them, print a single JSON line
+on stderr and exit with status 2; success exits 0. The output is written
+only after the run succeeds, so a failed run leaves --out as it was.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -193,6 +195,22 @@ _COMMANDS = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot take a file before the run starts:
+    a directory, or a file in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path!r}: directory {parent!r} does not exist")
+
+
+def _reject(kind: str, detail: str) -> int:
+    """Report a refused run as one JSON line on stderr; its exit status is 2."""
+    sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -201,18 +219,21 @@ def main(argv: list[str] | None = None) -> int:
             if not is_seed(args.seed):
                 raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.out is not None:
+            _check_out(args.out)
         buf = io.StringIO()
         _COMMANDS[args.command](cfg, args, buf)
     except (ConfigError, ValueError, MemoryError) as exc:
-        kind = "config" if isinstance(exc, ConfigError) else "arguments"
-        sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
-        return 2
+        return _reject("config" if isinstance(exc, ConfigError) else "arguments", str(exc))
     text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as out:
             out.write(text)
+    except OSError as exc:
+        return _reject("arguments", f"--out: {exc}")
     return 0
 
 

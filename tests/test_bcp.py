@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,18 +99,36 @@ def test_single_step_and_degenerate_grids():
 
 
 def test_a_grid_past_the_batch_buffer_limit_is_refused():
-    """300000 steps of 128 paths would need 2.0 GiB of batch buffers; the
-    pass refuses them before allocating."""
+    """600000 steps of 128 paths would need 2.3 GiB of batch and tile
+    buffers; the pass refuses them before allocating."""
     with pytest.raises(ValueError, match="GiB of batch buffers"):
-        estimate_j_star(LIMITS, dt=5e-5, n_paths=200)
+        estimate_j_star(LIMITS, dt=2.5e-5, n_paths=200)
 
 
 def test_a_path_count_past_the_buffer_limit_is_refused():
-    """1e14 paths of 30 steps keep only 212 KiB of batch buffers, but their
+    """1e14 paths of 30 steps keep only 242 KiB of batch buffers, but their
     four per-path integrals would need 2.8 PiB; the pass refuses them before
     allocating, naming the limit."""
     with pytest.raises(ValueError, match="over the limit of 2 GiB"):
         estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
+
+
+def test_estimate_j_star_peaks_within_its_stated_need():
+    """The pass allocates no buffer that its refusal check does not count:
+    its traced peak stays within the stated need, 8 bytes per float of
+    batch * (4 n + 2) + tile * 4 n + 4 n_paths, plus 1 MiB for the per-step
+    constants and the summaries."""
+    n_paths = 256
+    n = bcp._grid_steps(0.005, 15.0)
+    tile = min(bcp._tile_paths(n), bcp._BATCH_SIZE)
+    need = 8 * (bcp._BATCH_SIZE * (4 * n + 2) + tile * 4 * n + 4 * n_paths)
+    tracemalloc.start()
+    try:
+        estimate_j_star(LIMITS, dt=0.005, horizon=15.0, n_paths=n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + (1 << 20), (peak, need)
 
 
 def test_an_int_seed_and_its_seed_sequence_name_one_stream():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crisscross
+import crisscross.cli
 import crisscross.experiments
 from crisscross.cli import main
 from crisscross.params import Config, ConfigError, parse_config
@@ -97,6 +98,35 @@ def test_out_flag_writes_the_same_bytes(config_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(args) == 0
     assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command,args,target",
+    [("simulate", ["--r", "5", "--horizon-scaled", "0.1"], "missing/run.csv"), ("thresholds", [], ".")],
+    ids=["missing-directory", "a-directory"],
+)
+def test_an_out_path_that_cannot_take_a_file_exits_2_before_the_run(config_path, tmp_path, capsys, monkeypatch, command, args, target):
+    calls = []
+    monkeypatch.setitem(crisscross.cli._COMMANDS, command, lambda *a: calls.append(a))
+    assert main([command, "--config", config_path, *args, "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "arguments"
+    assert calls == []
+
+
+def test_a_failed_run_leaves_an_existing_out_file_as_it_was(config_path, tmp_path, capsys):
+    target = tmp_path / "run.csv"
+    target.write_text("kept\n", encoding="utf-8")
+    assert main(["bcp", "--config", config_path, "--paths", "0", "--out", str(target)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
+def test_an_out_file_that_refuses_the_write_exits_2(config_path, capsys):
+    assert main(["thresholds", "--config", config_path, "--out", "/dev/full"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
 
 
 def test_seed_override_changes_the_run(config_path, capsys):
