@@ -14,7 +14,7 @@ import numpy as np
 
 from .bcp import CostEstimate, _mc_summary, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
-from .policies import BUFFER1, BUFFER2, BUFFER3, make_policy
+from .policies import BUFFER1, BUFFER2, BUFFER3, _require_policy
 from .simulate import ScaledTrajectory, Trajectory, _clock_rate, _walk, event_budget, simulate
 
 __all__ = [
@@ -134,7 +134,7 @@ def estimate_cost(
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
     if not (gamma > 0.0):
         raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
-    make_policy(policy, net)  # rejects anything but a policy name
+    _require_policy(policy, net)
     weights = _chain_weights(net, gamma, horizon_scaled)
 
     values = np.empty(n_reps)
@@ -276,7 +276,7 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
     for net in nets:
         event_budget(net, net.r * net.r * config.horizon)
     for policy in policies:
-        make_policy(policy, nets[0])  # rejects an unknown name
+        _require_policy(policy, nets[0])
     # The reference draws from its own seed family, so running it first
     # changes no replication. It also checks its grid and path count.
     j_star = estimate_j_star(limits, dt=bcp_dt, n_paths=bcp_paths, seed=reference_seed(config.seed))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .params import RNetwork
 
 __all__ = [
@@ -39,9 +41,9 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     The rule can be written as indicator algebra over four events (safe
     regime, downstream-near-full-or-empty-feed, buffer-1-overgrown-or-empty-
     feed, any-work-for-server-1). This audit evaluates those products
-    directly and checks they reproduce make_policy("threshold", net), that
-    at most one buffer receives server 1, and that no empty buffer is ever
-    served.
+    directly and checks they reproduce server 1's activity under
+    _server1("threshold", net, ...) on that one state, that at most one
+    buffer receives server 1, and that no empty buffer is ever served.
     """
     q1, q2, q3 = q
     mu1, mu2 = net.mu[0], net.mu[1]
@@ -51,7 +53,6 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     has_work = (q1 + q2) != 0
     serve1 = ((safe and hold_back) or (not safe and overgrown)) and has_work
     serve2 = ((safe and not hold_back) or (not safe and not overgrown)) and has_work
-    serve3 = q3 > 0
 
     if serve1 and serve2:
         raise PolicyAuditError(f"state {q}: both buffers selected for server 1")
@@ -62,18 +63,15 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     if serve2 and q2 == 0:
         raise PolicyAuditError(f"state {q}: buffer 2 selected while empty")
 
-    action = make_policy("threshold", net)(q1, q2, q3)
-    expected = (BUFFER1 if serve1 else (BUFFER2 if serve2 else IDLE), BUFFER3 if serve3 else IDLE)
+    action = int(_server1("threshold", net, np.array([q]))[0])
+    expected = BUFFER1 if serve1 else (BUFFER2 if serve2 else IDLE)
     if action != expected:
         raise PolicyAuditError(f"state {q}: indicator form gives {expected}, decision rule gives {action}")
     return True
 
 
-PolicyFn = Callable[[int, int, int], "tuple[int, int]"]
-
-
 class _ThresholdLevels(NamedTuple):
-    """The levels of make_policy's threshold rule on one network."""
+    """The levels of the threshold rule on one network."""
 
     ratio: float     # mu2^r/mu1^r
     low: int         # threshold_low
@@ -82,8 +80,8 @@ class _ThresholdLevels(NamedTuple):
 
 
 def _threshold_levels(net: RNetwork) -> _ThresholdLevels:
-    """The one definition of the threshold rule's levels, read by
-    make_policy's closure and by the chain's loop (simulate._threshold_gates)."""
+    """The one definition of the threshold rule's levels, read by _server1
+    and by the chain's loop (simulate._threshold_gates)."""
     mu1, mu2 = net.mu[0], net.mu[1]
     return _ThresholdLevels(
         ratio=mu2 / mu1,
@@ -100,11 +98,20 @@ _PRIORITY_ORDER = {"priority1": (BUFFER1, BUFFER2), "priority2": (BUFFER2, BUFFE
 POLICY_NAMES = ("threshold", *_PRIORITY_ORDER)
 
 
-def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
-    """Compile a named policy to a per-event closure (q1, q2, q3) ->
-    (server1, server2) of buffer indices (0 = idle).
+def _require_policy(name: str, net: RNetwork | None) -> None:
+    """Refuse anything but a policy name, and "threshold" without a net."""
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    if name == "threshold" and net is None:
+        raise ValueError("threshold policy needs an RNetwork")
 
-    Server 2 serves buffer 3 whenever it is nonempty. For server 1:
+
+def _server1(name: str, net: RNetwork | None, q: np.ndarray) -> np.ndarray:
+    """Server 1's activity under the named policy in each state of q, an
+    (n, 3) integer array of queues: n int8 buffer codes. This is each
+    rule's one definition on states; simulate._chain_step runs the same
+    rules step by step. Server 1 idles only when buffers 1 and 2 are both
+    empty. Otherwise:
 
     - "priority1" / "priority2": static priority to buffer 1 / buffer 2,
       falling back to the other buffer when the preferred one is empty.
@@ -114,41 +121,31 @@ def make_policy(name: str, net: RNetwork | None = None) -> PolicyFn:
       server 1 drains buffer 2 unless the downstream stock is already near
       the high mark (q3 >= threshold_high - 1) or there is nothing to drain.
       Outside it, buffer 2 is drained unless buffer 1 has grown past
-      (mu1^r/mu2^r)(threshold_high - threshold_low + 2). Server 1 idles
-      only when buffers 1 and 2 are both empty. Equivalently, when
-      q1 + q2 > 0, server 1 serves buffer 2 iff q2 > 0 and the mode test
-      holds, (q3 < near_full) if (q3 - ratio*q1 < low) else
-      (q1 < overgrow), with near_full = threshold_high - 1 and overgrow the
-      level above; otherwise it serves buffer 1. _threshold_levels holds
-      these levels.
+      (mu1^r/mu2^r)(threshold_high - threshold_low + 2) or there is
+      nothing to drain. _threshold_levels holds these levels.
 
     indicator_form_audit re-derives the threshold rule independently.
     """
+    _require_policy(name, net)
+    q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2]
     if name == "threshold":
-        if net is None:
-            raise ValueError("threshold policy needs an RNetwork")
-        ratio, low, near_full, overgrow_level = _threshold_levels(net)
-
-        def threshold_policy(q1: int, q2: int, q3: int) -> tuple[int, int]:
-            server2 = BUFFER3 if q3 > 0 else IDLE
-            if q1 + q2 == 0:
-                return (IDLE, server2)
-            if q3 - ratio * q1 < low:
-                serve_first = q3 >= near_full or q2 == 0
-            else:
-                serve_first = q1 >= overgrow_level or q2 == 0
-            return (BUFFER1 if serve_first else BUFFER2, server2)
-
-        return threshold_policy
-
-    if name in _PRIORITY_ORDER:
+        ratio, low, near_full, overgrow = _threshold_levels(net)
+        feed = (q2 > 0) & np.where(q3 - ratio * q1 < low, q3 < near_full, q1 < overgrow)
+        busy = np.where(feed, BUFFER2, BUFFER1)
+    else:
         first, second = _PRIORITY_ORDER[name]
+        busy = np.where(q[:, first - 1] > 0, first, second)  # buffer b is column b - 1
+    return np.where(q1 + q2 > 0, busy, IDLE).astype(np.int8)
 
-        def priority_policy(q1: int, q2: int, q3: int) -> tuple[int, int]:
-            queued = (None, q1, q2)
-            server1 = first if queued[first] > 0 else second if queued[second] > 0 else IDLE
-            return (server1, BUFFER3 if q3 > 0 else IDLE)
 
-        return priority_policy
+def make_policy(name: str, net: RNetwork | None = None) -> Callable[[int, int, int], tuple[int, int]]:
+    """The named policy on one state, (q1, q2, q3) -> (server1, server2) of
+    buffer indices (0 = idle): _server1 on that one row, one numpy pass
+    per call, and buffer 3 for server 2 whenever it is nonempty. A bad
+    name, or "threshold" without net, gets ValueError here."""
+    _require_policy(name, net)
 
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    def policy(q1: int, q2: int, q3: int) -> tuple[int, int]:
+        return (int(_server1(name, net, np.array([(q1, q2, q3)]))[0]), BUFFER3 if q3 > 0 else IDLE)
+
+    return policy

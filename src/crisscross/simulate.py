@@ -20,7 +20,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .params import RNetwork
-from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, _threshold_levels, _ThresholdLevels, make_policy
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, _require_policy, _server1, _threshold_levels, _ThresholdLevels
 from .workload import WorkloadMatrix
 
 __all__ = [
@@ -166,10 +166,8 @@ def _threshold_gates(
     whether the uniform lies in the first mu of buffer 1 and of buffer 2.
     Between two such steps buffer 3 meets only server-2 band steps, each
     serving it if it is nonempty, so its level is the last one less those
-    steps, floored at 0. The rule runs inlined on Python ints with the
-    levels of _threshold_levels: when q1 + q2 > 0, server 1 takes buffer 2
-    iff q2 > 0 and (q3 < near_full) if (q3 - ratio*q1 < low) else
-    (q1 < overgrow), and buffer 1 otherwise, as make_policy's rule does.
+    steps, floored at 0. The rule of policies._server1 runs inlined on
+    Python ints, with the levels of _threshold_levels.
     """
     steps = np.flatnonzero(band1)
 
@@ -285,7 +283,7 @@ def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: float, block: int
 def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Trajectory:
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
-    policy is a name in POLICY_NAMES; anything else gets make_policy's
+    policy is a name in POLICY_NAMES, or simulate raises a
     ValueError before anything is drawn. The run walks the uniformized
     jump chain on seed's stream (_walk), as experiments._chain_cost does,
     and holds each state for an Exp(L) time from a second stream, seed's
@@ -293,7 +291,7 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     kept for the empty state, for each step that moves a queue by the
     horizon, and for the horizon; fictitious steps only pass time.
 
-    Server 1's activity is make_policy(policy, net)'s, called once per row.
+    Server 1's activity is policies._server1's, in one pass over the rows.
     Server 2's is buffer 3 whenever it is nonempty, by the policies
     module's contract, which the chain assumes. The same (net, policy,
     horizon, seed) always reproduces the identical trajectory, whether seed
@@ -303,7 +301,7 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     if not (horizon >= 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon = {horizon!r} must be finite and >= 0")
     events = event_budget(net, horizon)
-    policy_fn = make_policy(policy, net)
+    _require_policy(policy, net)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     clock_seed = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
@@ -336,7 +334,7 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
 
     queues = np.concatenate(queues)
     activity = np.empty((queues.shape[0], 2), dtype=np.int8)
-    activity[:, 0] = [policy_fn(q1, q2, q3)[0] for q1, q2, q3 in zip(*(col.tolist() for col in queues.T))]
+    activity[:, 0] = _server1(policy, net, queues)
     activity[:, 1] = np.where(queues[:, 2] > 0, BUFFER3, IDLE)
     return Trajectory(r=net.r, horizon=float(horizon), epochs=np.concatenate(epochs), queues=queues, activity=activity)
 
@@ -358,7 +356,8 @@ def check_conservation(traj: Trajectory) -> ConservationReport:
     exactly; clock identities (allocation + idleness = elapsed time per
     server, 1-Lipschitz allocations, nondecreasing idleness) to 1e-9. Also
     enforces that recorded busy time accrues only under the recorded
-    activity and that server 2 idles exactly when its buffer is empty.
+    activity, that server 2 idles exactly when its buffer is empty, and
+    that each service at buffer 1 or 2 follows a row with server 1 on it.
     """
     v: list[str] = []
     ep, q, cnt, al, idl, act = (
@@ -379,10 +378,11 @@ def check_conservation(traj: Trajectory) -> ConservationReport:
     bad((q[:, 1] != cnt[:, 1] - cnt[:, 3]), "flow: q2 != arrivals2 - services2")
     bad((q[:, 2] != cnt[:, 3] - cnt[:, 4]), "flow: q3 != services2 - services3")
     bad((q < 0).any(axis=1), "negative queue length")
-    bad(np.diff(cnt, axis=0).min(axis=1) < 0, "event counters decreased")
+    d_cnt = np.diff(cnt, axis=0)
+    bad(d_cnt.min(axis=1) < 0, "event counters decreased")
     # Counts follow from the queue moves, so a row whose move was cancelled
     # keeps the flow identities; only the terminal row may record no event.
-    bad(np.diff(cnt, axis=0)[:-1].sum(axis=1) != 1, "non-terminal row does not record exactly one event")
+    bad(d_cnt[:-1].sum(axis=1) != 1, "non-terminal row does not record exactly one event")
 
     d_ep = np.diff(ep)
     d_al = np.diff(al, axis=0)
@@ -408,6 +408,8 @@ def check_conservation(traj: Trajectory) -> ConservationReport:
     bad(~valid1, "server-1 activity out of range")
     bad((act[:, 0] == BUFFER1) & (q[:, 0] == 0), "server 1 assigned to empty buffer 1")
     bad((act[:, 0] == BUFFER2) & (q[:, 1] == 0), "server 1 assigned to empty buffer 2")
+    bad((d_cnt[:, 2] > 0) & (act[:-1, 0] != BUFFER1), "service at buffer 1 while server 1 is not on it")
+    bad((d_cnt[:, 3] > 0) & (act[:-1, 0] != BUFFER2), "service at buffer 2 while server 1 is not on it")
 
     return ConservationReport(not v, tuple(v))
 

@@ -23,7 +23,7 @@ from crisscross.experiments import (
     run_diagnostics,
 )
 from crisscross.params import Config, NetworkLimits, RNetwork, compute_threshold_constants, kappa_bound, make_r_network
-from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, POLICY_NAMES, make_policy
+from crisscross.policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, POLICY_NAMES, _server1, make_policy
 from crisscross.simulate import (
     _CHAIN_BLOCK,
     ScaledTrajectory,
@@ -128,7 +128,7 @@ def test_estimate_cost_argument_checks():
 
 
 def test_a_policy_is_a_name():
-    """A closure or an unknown name gets make_policy's ValueError, and a
+    """A callable or an unknown name is refused as an unknown policy, and a
     replication index that is not a non-negative int is refused by name."""
     net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
     for policy in (make_policy("threshold", net), "lifo"):
@@ -177,17 +177,49 @@ def _mean_and_stderr(samples):
     return samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)
 
 
-def _stepwise_chain(net, policy_fn, x, q0=(0, 0, 0)):
+def _oracle_server1(net, policy):
+    """Test-only scalar rule of server 1, (q1, q2, q3) -> buffer code
+    (0 = idle), read off net's rates and thresholds directly; it shares no
+    code with policies._server1."""
+    if policy == "threshold":
+        mu1, mu2 = net.mu[0], net.mu[1]
+        low, high = net.threshold_low, net.threshold_high
+        ratio, overgrow = mu2 / mu1, (mu1 / mu2) * (high - low + 2)
+
+        def rule(q1, q2, q3):
+            if q1 + q2 == 0:
+                return IDLE
+            if q3 - ratio * q1 < low:
+                serve_first = q3 >= high - 1 or q2 == 0
+            else:
+                serve_first = q1 >= overgrow or q2 == 0
+            return BUFFER1 if serve_first else BUFFER2
+
+        return rule
+    first, second = {"priority1": (BUFFER1, BUFFER2), "priority2": (BUFFER2, BUFFER1)}[policy]
+
+    def rule(q1, q2, q3):
+        queued = (None, q1, q2)
+        return first if queued[first] > 0 else second if queued[second] > 0 else IDLE
+
+    return rule
+
+
+def _stepwise_chain(net, policy, x, q0=(0, 0, 0)):
     """Test-only oracle of the chain: one Python loop over every step of
-    the uniforms x, scaled to [0, L), from the queues q0, consulting the
-    policy at each. It shares no code with _chain_step, and returns the
-    state before each step and after the last, (n + 1, 3)."""
+    the uniforms x, scaled to [0, L), from the queues q0, deciding server 1
+    by _oracle_server1 at each. It shares no code with _chain_step, and
+    returns the state before each step and after the last, (n + 1, 3), and
+    server 1's decision at each step, (n,)."""
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
+    rule = _oracle_server1(net, policy)
     q1, q2, q3 = q0
     states = [(q1, q2, q3)]
+    decisions = []
     for u in x.tolist():
-        a1, a2 = policy_fn(q1, q2, q3)
+        a1 = rule(q1, q2, q3)
+        decisions.append(a1)
         if u < lam1:
             q1 += 1
         elif u < lam1 + lam2:
@@ -197,10 +229,10 @@ def _stepwise_chain(net, policy_fn, x, q0=(0, 0, 0)):
                 q1 -= 1
             elif a1 == BUFFER2 and u < lam1 + lam2 + mu2:
                 q2, q3 = q2 - 1, q3 + 1
-        elif a2 == BUFFER3:
+        elif q3 > 0:
             q3 -= 1
         states.append((q1, q2, q3))
-    return np.array(states, dtype=np.int64)
+    return np.array(states, dtype=np.int64), np.array(decisions, dtype=np.int8)
 
 
 def _stacked(states):
@@ -208,11 +240,11 @@ def _stacked(states):
     return np.stack([states[b] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1)
 
 
-def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
+def _stepwise_chain_cost(net, policy, weights, h, seed):
     """Test-only oracle of _chain_cost: the stepwise chain on the same
     uniforms, and one dot product per weight vector."""
     x = np.random.Generator(np.random.PCG64(seed)).random(weights.value.size) * _clock_rate(net)
-    q = _stepwise_chain(net, policy_fn, x)[:-1]
+    q = _stepwise_chain(net, policy, x)[0][:-1]
     hq = h[0] * q[:, 0] + h[1] * q[:, 1] + h[2] * q[:, 2]
     return weights.value @ hq * weights.value_scale, weights.end @ hq * weights.end_scale
 
@@ -221,12 +253,11 @@ def _stepwise_chain_cost(net, policy_fn, weights, h, seed):
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
     net = make_r_network(limits, 10.0, 1.2, 3.0)
-    policy_fn = make_policy(policy, net)
     weights = _chain_weights(net, limits.gamma, 15.0)
     for rep in range(3):
         seed = replication_seed(5, net.r, rep)
         value, end = _chain_cost(net, policy, weights, limits.h, seed)
-        want_value, want_end = _stepwise_chain_cost(net, policy_fn, weights, limits.h, seed)
+        want_value, want_end = _stepwise_chain_cost(net, policy, weights, limits.h, seed)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert end == pytest.approx(want_end, rel=1e-12)
 
@@ -244,7 +275,7 @@ def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
         n = _chain_weights(net, limits.gamma, horizon_scaled).value.size
         seed = replication_seed(5, net.r, rep)
         x = np.random.Generator(np.random.PCG64(seed)).random(n) * rate
-        states = _stepwise_chain(net, make_policy(policy, net), x)
+        states, _ = _stepwise_chain(net, policy, x)
         at = np.cumsum(np.random.Generator(np.random.PCG64(seed.spawn(1)[0])).exponential(1.0 / rate, n))
         cut = int(np.searchsorted(at, net.r * net.r * horizon_scaled, side="right"))  # steps by the horizon
         assert cut < n
@@ -318,13 +349,14 @@ def test_chain_cost_is_one_left_to_right_sum_over_all_steps(policy):
 
 def _assert_chain_step_walks_its_oracle(limits, r, policy):
     """The walk's paths, in blocks of several sizes and in one block of all
-    steps, are the stepwise oracle's states on the replication's uniforms;
-    the oracle calls the policy's closure at every step."""
+    steps, are the stepwise oracle's states on the replication's uniforms,
+    and _server1 on those states gives the oracle's decision at each step."""
     net = make_r_network(limits, r, 1.2, 3.0)
     n = _chain_weights(net, limits.gamma, 15.0).value.size
     seed = replication_seed(7, r, 0)
     x = np.random.Generator(np.random.PCG64(seed)).random(n) * _clock_rate(net)
-    states = _stepwise_chain(net, make_policy(policy, net), x)
+    states, decisions = _stepwise_chain(net, policy, x)
+    assert np.array_equal(_server1(policy, net, states[:-1]), decisions)
     for block in (_CHAIN_BLOCK, 1000, 4097, n):
         start = 0
         for path in _walk(net, policy, seed, n, block):
@@ -338,16 +370,16 @@ def _assert_chain_step_walks_its_oracle(limits, r, policy):
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
 @pytest.mark.parametrize("policy", list(_PRIORITY_ORDER))
 def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy):
-    """A priority name takes the cascaded reflections; the oracle calls its
-    closure at every step."""
+    """A priority name takes the cascaded reflections; the oracle decides
+    by its own rule at every step."""
     _assert_chain_step_walks_its_oracle(limits, r, policy)
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
 def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
-    """The name "threshold" takes the inlined rule; the oracle calls its
-    closure at every step."""
+    """The name "threshold" takes the inlined rule; the oracle decides by
+    its own rule at every step."""
     _assert_chain_step_walks_its_oracle(limits, r, "threshold")
 
 
@@ -362,8 +394,9 @@ def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
 def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0, c, data):
     """One block from start queues up to 3 threshold_high, so that both
     modes and the q1 = 0 and q2 = 0 edges are met: the inlined rule moves
-    the queues exactly as the stepwise oracle, calling the closure at every
-    step from the same start, does."""
+    the queues exactly as the stepwise oracle, deciding by its own rule at
+    every step from the same start, does, and _server1 on the oracle's
+    states gives its decisions."""
     try:
         net = make_r_network(limits, r, ell0, c)
     except ValueError:  # below the usability floor
@@ -373,8 +406,24 @@ def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0
     u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64), label="u")
     x = np.array(u) * _clock_rate(net)
     path = _chain_step(net, "threshold", dict(zip((BUFFER1, BUFFER2, BUFFER3), q0)), x)
-    states = _stepwise_chain(net, make_policy("threshold", net), x, q0)
+    states, decisions = _stepwise_chain(net, "threshold", x, q0)
     assert _stacked(path).tolist() == states.tolist(), (q0, u)
+    assert _server1("threshold", net, states[:-1]).tolist() == decisions.tolist(), (q0, u)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_server1_matches_the_stepwise_oracle_rule_on_edge_states(limits, policy):
+    """On every state with each queue up to 3 threshold_high + 1, which holds
+    both threshold modes, their edges and the q1 = 0 and q2 = 0 faces,
+    _server1 decides as the oracle's scalar rule does."""
+    for r in (5.0, 40.0):
+        net = make_r_network(limits, r, 1.2, 3.0)
+        side = np.arange(3 * net.threshold_high + 2)
+        q = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1).reshape(-1, 3)
+        rule = _oracle_server1(net, policy)
+        want = [rule(q1, q2, q3) for q1, q2, q3 in q.tolist()]
+        assert _server1(policy, net, q).tolist() == want, r
 
 
 @settings(max_examples=300, deadline=None)

@@ -165,6 +165,22 @@ def test_conservation_flags_a_shifted_buffer1_queue(move, violation):
     assert any(v.startswith(violation) for v in report.violations), report.violations
 
 
+@pytest.mark.parametrize("served,other", [(BUFFER1, BUFFER2), (BUFFER2, BUFFER1)], ids=["buffer1", "buffer2"])
+def test_conservation_flags_a_service_outside_the_recorded_activity(served, other):
+    """Recording server 1 on the other, nonempty buffer in a row whose next
+    move serves this one keeps every flow and clock identity, since the busy
+    times follow the recorded activity; only the service itself shows it."""
+    net = make_r_network(LIMITS, 10.0, 1.2, 3.0)
+    traj = simulate(net, "threshold", 200.0, 0)
+    step = {BUFFER1: [-1, 0, 0], BUFFER2: [0, -1, 1]}[served]
+    rows = np.flatnonzero((np.diff(traj.queues, axis=0) == step).all(axis=1) & (traj.queues[:-1, other - 1] > 0))
+    k = int(rows[rows >= len(traj) // 2][0])
+    assert traj.activity[k, 0] == served
+    traj.activity[k, 0] = other
+    report = check_conservation(traj)
+    assert [v.split(" (")[0] for v in report.violations] == [f"service at buffer {served} while server 1 is not on it"]
+
+
 def test_conservation_flags_tampered_idleness():
     net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
     traj = simulate(net, "threshold", 200.0, 1)
