@@ -30,20 +30,15 @@ __all__ = [
     "admissibility_audit",
 ]
 
-# Paths simulated per batch. The batch layout fixes the order of the random
-# draws, so changing it changes every estimate.
-_BATCH_SIZE = 128
-
-# Bytes of one (paths, steps, 2) work tile of a batch. Tiles hold whole
-# paths, at least one, so no running sum or minimum crosses a tile; the
-# budget only sets how many paths share a tile, never a result bit.
+# Bytes of one (paths, 2, steps) work tile. Tiles hold whole paths, at
+# least one, so no running sum or minimum crosses a tile; the budget only
+# sets how many paths share a tile, never a result bit.
 _TILE_BYTES = 1 << 18
 
-# Largest buffers estimate_j_star allocates: a batch of n-step paths holds
-# 4 n + 2 floats per path (normals and reflected workloads), a tile of it
-# 4 n per path (uniforms and work), and each path keeps 4 discounted
-# integrals. 2 GiB admit 128 paths at dt = 5e-5 over a horizon of 15.
-_MAX_BATCH_BYTES = 2 << 30
+# Largest buffers estimate_j_star allocates: a tile of n-step paths holds
+# 6 n + 2 floats per path (normals, uniforms and workloads), and each path
+# keeps 4 discounted integrals. 2 GiB admit one path of 44 million steps.
+_MAX_BUFFER_BYTES = 2 << 30
 
 # Float tolerance of every residual in admissibility_audit.
 _AUDIT_ATOL = 1e-9
@@ -105,26 +100,29 @@ def _grid_steps(dt: float, horizon: float) -> int:
     """Number of grid steps of length dt covering [0, horizon]; at least one."""
     if not (0.0 < dt < math.inf) or not (0.0 < horizon < math.inf):
         raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt!r}, horizon={horizon!r}")
-    n = int(round(horizon / dt))
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {horizon!r} over dt={dt!r} overflows the step count")
+    n = int(round(ratio))
     if n < 1:
         raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
     return n
 
 
 def _running_low(x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: np.ndarray) -> None:
-    """Minus the pushing of free paths x (g, n+1, m) starting at 0, into out.
+    """Minus the pushing of free paths x (g, m, n+1) starting at 0, into out.
 
-    out (g, n, m) receives the running minimum of the step minima and 0, so
-    the pushing is 0 at the start and -out after it. Each step's minimum is
-    the smaller endpoint, or, given uniforms u of out's shape, a draw from
-    the exact bridge minimum law per coordinate:
-    m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step endpoints a, b and
-    step variance v; two_var holds 2 v and broadcasts against out. Every
-    stage runs in place, and u is used up as scratch. fmin is minimum but
-    for NaN, and no step minimum is NaN.
+    Time runs along the last axis. out (g, m, n) receives the running
+    minimum of the step minima and 0, so the pushing is 0 at the start and
+    -out after it. Each step's minimum is the smaller endpoint, or, given
+    uniforms u of out's shape, a draw from the exact bridge minimum law per
+    coordinate: m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step
+    endpoints a, b and step variance v; two_var holds 2 v and broadcasts
+    against out. Every stage runs in place, and u is used up as scratch.
+    fmin is minimum but for NaN, and no step minimum is NaN.
     """
-    a = x[:, :-1]
-    b = x[:, 1:]
+    a = x[..., :-1]
+    b = x[..., 1:]
     if u is None:
         np.minimum(a, b, out=out)
     else:
@@ -138,7 +136,7 @@ def _running_low(x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: 
         np.subtract(u, out, out=out)
         out *= 0.5
     np.minimum(out, 0.0, out=out)
-    np.fmin.accumulate(out, axis=1, out=out)
+    np.fmin.accumulate(out, axis=-1, out=out)
 
 
 def simulate_rbm(
@@ -166,9 +164,9 @@ def simulate_rbm(
     free_w = x @ proj.T                       # (n+1, 2)
     _, pcov, _ = _workload_projection(bm, proj)
     step_var = np.diag(pcov) * dt
-    u = gen.random(size=(1, n, 2)) if bridge_minima else None
+    u = gen.random(size=(n, 2)).T[None] if bridge_minima else None
     pushing = np.zeros((n + 1, 2))
-    _running_low(free_w[None, :, :], u, 2.0 * step_var, pushing[None, 1:])
+    _running_low(free_w.T[None], u, 2.0 * step_var[:, None], pushing.T[None, :, 1:])
     np.negative(pushing[1:], out=pushing[1:])
     times = np.arange(n + 1) * dt
     return RbmPath(times=times, workload=free_w + pushing, pushing=pushing, netput=x, dt=dt)
@@ -299,9 +297,9 @@ def estimate_j_star(
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
-    point). horizon defaults to 15/gamma. A run whose batch and tile
-    buffers and per-path integrals would exceed _MAX_BATCH_BYTES is refused
-    before anything is allocated.
+    point). horizon defaults to 15/gamma. A run whose tile buffers and
+    per-path integrals would exceed _MAX_BUFFER_BYTES is refused before
+    anything is allocated.
 
     The same paths also give the discounted integral of each reflected
     workload coordinate, returned in the result's marginals as plain means.
@@ -330,13 +328,12 @@ def estimate_j_star(
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
-    batch = min(_BATCH_SIZE, n_paths)
-    tile = min(_tile_paths(n), batch)
-    need = 8 * (batch * (4 * n + 2) + tile * 4 * n + 4 * n_paths)
-    if need > _MAX_BATCH_BYTES:
+    tile = min(_tile_paths(n), n_paths)
+    need = 8 * (tile * (6 * n + 2) + 4 * n_paths)
+    if need > _MAX_BUFFER_BYTES:
         raise ValueError(
-            f"{n} steps x {n_paths} paths need {need / 2**30:.3g} GiB of batch buffers and per-path "
-            f"integrals, over the limit of {_MAX_BATCH_BYTES / 2**30:g} GiB"
+            f"{n:.3g} steps x {n_paths} paths need {need / 2**30:.3g} GiB of tile buffers and per-path "
+            f"integrals, over the limit of {_MAX_BUFFER_BYTES / 2**30:g} GiB"
         )
     gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
@@ -344,72 +341,68 @@ def estimate_j_star(
     bm = LimitBm.from_limits(limits)
     pdrift, pcov, pchol = _workload_projection(bm, WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
-    sqdt = math.sqrt(dt)
+    corr = math.sqrt(dt) * pchol
     wts = _discount_weights(gamma, n, dt)
 
-    # Per-path discounted integrals: the cost, each workload coordinate, and
-    # the free kink |l . X|, which only the bridge-minima estimate uses. The
-    # buffers are allocated once: the normals z and workloads w per batch,
-    # the uniforms u and the (tile, n, 2) work buffer per tile of whole
-    # paths, which runs every stage in place. Each tile's uniforms are drawn
-    # just before it, after the batch's normals, so the stream is that of
-    # one batch-wide fill. Once a tile's normals are spent, the first n
-    # floats of each path's z row hold |l . X| and the last n its cost.
-    samples = [np.empty(n_paths) for _ in range(4)]
-    z = np.empty((batch, n, 2))
-    rows_z = z.reshape(batch, 2 * n)
-    kink = rows_z[:, :n]
-    cost = rows_z[:, n:]
-    u = np.empty((tile, n, 2)) if bridge_minima else None
-    w = np.empty((batch, n + 1, 2))
-    w[:, 0] = 0.0
-    work = np.empty((tile, n, 2))
-    # Per-step constants as (n, 2) rows: against a (2,) operand numpy runs
-    # an inner loop of two elements, about ten times slower.
-    drift_dt = np.tile(pdrift * dt, (n, 1))
-    two_var = np.tile(2.0 * step_var, (n, 1))
-    for start in range(0, n_paths, _BATCH_SIZE):
-        k = min(_BATCH_SIZE, n_paths - start)
-        gen.standard_normal(out=z[:k])
-        for lo in range(0, k, tile):
-            p = slice(lo, min(lo + tile, k))
-            g = p.stop - lo
-            x = w[p]
-            buf = work[:g]
-            np.matmul(z[p], pchol.T, out=buf)
-            buf *= sqdt
-            buf += drift_dt
-            np.cumsum(buf, axis=1, out=x[:, 1:])
-            c = cost[p]
-            if u is not None:
-                gen.random(out=u[:g])
-                # |l . X| of the free netput at the left points, before
-                # reflection; the cost row is scratch until it is formed.
-                a = kink[p]
-                np.multiply(x[:, :-1, 0], ell[0], out=a)
-                np.multiply(x[:, :-1, 1], ell[1], out=c)
-                a += c
-                np.absolute(a, out=a)
-            _running_low(x, None if u is None else u[:g], two_var, buf)
-            x[:, 1:] -= buf
-            # The cost beyond heavy1's linear form: (l . w)+, with the spent
-            # work buffer as scratch.
-            s = buf.reshape(g, 2 * n)[:, :n]
-            np.multiply(x[:, :-1, 0], ell[0], out=c)
-            np.multiply(x[:, :-1, 1], ell[1], out=s)
+    # Per-path discounted integrals, one column per path: the cost, each
+    # workload coordinate, and the free kink |l . X|, which only the
+    # bridge-minima estimate uses.
+    samples = np.empty((4, n_paths))
+    # Each path draws its own stretch of the stream: its normals as a (2, n)
+    # block, one row per workload coordinate, then, with bridge minima, its
+    # uniforms as a (2, n) block. So a path depends only on the seed, the
+    # grid and its index. Tiles of whole paths run every stage in place on
+    # planar (tile, 2, n) buffers, so the sums and running minima scan
+    # contiguous rows: x holds the free paths and then the workloads, z the
+    # normals and then scratch, u the uniforms and then scratch.
+    z = np.empty((tile, 2, n))
+    u = np.empty((tile, 2, n)) if bridge_minima else None
+    x = np.empty((tile, 2, n + 1))
+    x[:, :, 0] = 0.0
+    drift_dt = (pdrift * dt)[:, None]
+    two_var = (2.0 * step_var)[:, None]
+    for start in range(0, n_paths, tile):
+        g = min(tile, n_paths - start)
+        rows = slice(start, start + g)
+        zt, xt = z[:g], x[:g]
+        ut = None if u is None else u[:g]
+        for i in range(g):
+            gen.standard_normal(out=zt[i])
+            if ut is not None:
+                gen.random(out=ut[i])
+        # The increments corr z + drift dt (corr is lower triangular),
+        # summed in place into the free paths.
+        free = xt[:, :, 1:]
+        np.multiply(zt[:, 0], corr[0, 0], out=free[:, 0])
+        np.multiply(zt[:, 0], corr[1, 0], out=free[:, 1])
+        zt[:, 1] *= corr[1, 1]
+        free[:, 1] += zt[:, 1]
+        free += drift_dt
+        np.cumsum(free, axis=2, out=free)
+        left = xt[:, :, :-1]
+        c, s = zt[:, 0], zt[:, 1]
+        # Each discount sum weights a row in place and adds it up on its
+        # own, pairwise, so a path's bits depend neither on the paths that
+        # share its tile nor on BLAS (whose dot splits long rows by thread).
+        if ut is not None:
+            # |l . X| of the free netput at the left points, before reflection.
+            np.multiply(left[:, 0], ell[0], out=c)
+            np.multiply(left[:, 1], ell[1], out=s)
             c += s
-            np.maximum(c, 0.0, out=c)
-        # The discount sums run once per batch on the full buffers: BLAS sums
-        # the rows of z, numpy's own loop the strided workload views. Per-tile
-        # sums would change the summation order, and so the bits.
-        rows = slice(start, start + k)
-        m1 = w[:k, :-1, 0] @ wts
-        m2 = w[:k, :-1, 1] @ wts
-        samples[0][rows] = heavy1[0] * m1 + heavy1[1] * m2 + cost[:k] @ wts
-        samples[1][rows] = m1
-        samples[2][rows] = m2
-        if u is not None:
-            samples[3][rows] = kink[:k] @ wts
+            np.absolute(c, out=c)
+            c *= wts
+            np.add.reduce(c, axis=-1, out=samples[3, rows])
+        _running_low(xt, ut, two_var, zt)
+        free -= zt
+        # The cost beyond heavy1's linear form: (l . w)+.
+        np.multiply(left[:, 0], ell[0], out=c)
+        np.multiply(left[:, 1], ell[1], out=s)
+        c += s
+        np.maximum(c, 0.0, out=c)
+        c *= wts
+        left *= wts
+        m = np.add.reduce(left, axis=-1, out=samples[1:3, rows].T)
+        samples[0, rows] = heavy1[0] * m[:, 0] + heavy1[1] * m[:, 1] + np.add.reduce(c, axis=-1)
 
     sigma = np.sqrt(np.diag(pcov))
     summaries = [_mc_summary(values) for values in samples[:3]]
@@ -420,7 +413,7 @@ def estimate_j_star(
         t = np.arange(n) * dt
         means = [wts @ _reflected_mean(d, sd, t) for d, sd in zip(pdrift, sigma)]
         means.append(wts @ _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t))
-        summaries[0] = _control_variate_summary(samples[0], np.stack(samples[1:]), np.array(means))
+        summaries[0] = _control_variate_summary(samples[0], samples[1:], np.array(means))
     coeffs = (
         np.array([max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]),
         np.array([1.0, 0.0]),

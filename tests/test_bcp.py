@@ -98,37 +98,52 @@ def test_single_step_and_degenerate_grids():
         estimate_j_star(LIMITS, dt=1.0, horizon=0.4, n_paths=10)
 
 
-def test_a_grid_past_the_batch_buffer_limit_is_refused():
-    """600000 steps of 128 paths would need 2.3 GiB of batch and tile
-    buffers; the pass refuses them before allocating."""
-    with pytest.raises(ValueError, match="GiB of batch buffers"):
-        estimate_j_star(LIMITS, dt=2.5e-5, n_paths=200)
+def test_a_grid_past_the_buffer_limit_is_refused():
+    """One path of 150 million steps would need 6.7 GiB of tile buffers;
+    the pass refuses it before allocating."""
+    with pytest.raises(ValueError, match="GiB of tile buffers"):
+        estimate_j_star(LIMITS, dt=1e-7, n_paths=200)
 
 
 def test_a_path_count_past_the_buffer_limit_is_refused():
-    """1e14 paths of 30 steps keep only 242 KiB of batch buffers, but their
+    """1e14 paths of 30 steps keep only 776 KiB of tile buffers, but their
     four per-path integrals would need 2.8 PiB; the pass refuses them before
     allocating, naming the limit."""
     with pytest.raises(ValueError, match="over the limit of 2 GiB"):
         estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
 
 
-def test_estimate_j_star_peaks_within_its_stated_need():
-    """The pass allocates no buffer that its refusal check does not count:
-    its traced peak stays within the stated need, 8 bytes per float of
-    batch * (4 n + 2) + tile * 4 n + 4 n_paths, plus 1 MiB for the per-step
-    constants and the summaries."""
-    n_paths = 256
-    n = bcp._grid_steps(0.005, 15.0)
-    tile = min(bcp._tile_paths(n), bcp._BATCH_SIZE)
-    need = 8 * (bcp._BATCH_SIZE * (4 * n + 2) + tile * 4 * n + 4 * n_paths)
+def _stated_need(dt, horizon, n_paths):
+    """The pass's stated need in bytes: 8 per float of tile * (6 n + 2) + 4 n_paths."""
+    n = bcp._grid_steps(dt, horizon)
+    return 8 * (min(bcp._tile_paths(n), n_paths) * (6 * n + 2) + 4 * n_paths)
+
+
+def _traced_peak(**kwargs):
     tracemalloc.start()
     try:
-        estimate_j_star(LIMITS, dt=0.005, horizon=15.0, n_paths=n_paths)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_j_star(LIMITS, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_estimate_j_star_peaks_within_its_stated_need():
+    """The pass allocates no buffer that its refusal check does not count:
+    its traced peak stays within the stated need plus 1 MiB for the
+    per-step constants and the summaries."""
+    need = _stated_need(0.005, 15.0, 256)
+    peak = _traced_peak(dt=0.005, horizon=15.0, n_paths=256)
     assert peak <= need + (1 << 20), (peak, need)
+
+
+def test_the_traced_peak_does_not_grow_with_the_path_count():
+    """2048 paths of 3000 steps peak at most 32 bytes per extra path (the
+    four per-path integrals) plus 256 KiB above 16 paths: no buffer scales
+    with the run."""
+    small = _traced_peak(dt=0.005, horizon=15.0, n_paths=16)
+    large = _traced_peak(dt=0.005, horizon=15.0, n_paths=2048)
+    assert large - small <= 32 * (2048 - 16) + (256 << 10), (small, large)
 
 
 def test_an_int_seed_and_its_seed_sequence_name_one_stream():
@@ -209,46 +224,54 @@ def test_reference_cost_dominates_its_largest_ingredient():
 
 
 def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima):
-    """The whole-batch form of estimate_j_star's pass, kept as its oracle:
+    """The whole-array form of estimate_j_star's pass, kept as its oracle:
     per-path discounted integrals of the cost, of each workload coordinate
-    and of the free kink |l . X|, every stage on full (k, n, 2) arrays. The
-    cost is heavy1 . w + (l . w)+ with l = heavy3 - heavy1, its integral
-    formed from the workload integrals. The same draws in the same order:
-    per batch of _BATCH_SIZE paths, one normal block, then one uniform
-    block."""
+    and of the free kink |l . X|, as rows of a (4, n_paths) array. The same
+    draws in the same order: each path's normals as a (2, n) block, then,
+    with bridge minima, its uniforms as a (2, n) block. Every stage runs on
+    full (k, 2, n) arrays of up to 256 paths, which only bounds the memory,
+    since no path's values depend on another's; each discount sum is
+    numpy's sum over one path's row. The cost is heavy1 . w + (l . w)+ with
+    l = heavy3 - heavy1, its integral formed from the workload integrals."""
+    chunk = 256
     n = bcp._grid_steps(dt, horizon)
     gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
     pdrift, pcov, pchol = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
-    step_var = np.diag(pcov) * dt
-    sqdt = math.sqrt(dt)
+    two_var = 2.0 * np.diag(pcov) * dt
+    corr = math.sqrt(dt) * pchol
     wts = bcp._discount_weights(limits.gamma, n, dt)
-    samples = [np.empty(n_paths) for _ in range(4)]
-    for start in range(0, n_paths, bcp._BATCH_SIZE):
-        k = min(bcp._BATCH_SIZE, n_paths - start)
-        z = gen.standard_normal(size=(k, n, 2))
-        incr = (z @ pchol.T) * sqdt + pdrift * dt
-        x = np.concatenate([np.zeros((k, 1, 2)), np.cumsum(incr, axis=1)], axis=1)
-        a = x[:, :-1, :]
-        b = x[:, 1:, :]
-        kink = np.abs(ell[0] * a[:, :, 0] + ell[1] * a[:, :, 1])
+    samples = np.empty((4, n_paths))
+    for start in range(0, n_paths, chunk):
+        k = min(chunk, n_paths - start)
+        z = np.empty((k, 2, n))
+        u = np.empty((k, 2, n))
+        for j in range(k):
+            z[j] = gen.standard_normal(size=(2, n))
+            if bridge_minima:
+                u[j] = gen.random(size=(2, n))
+        incr = np.stack([corr[0, 0] * z[:, 0], corr[1, 0] * z[:, 0] + corr[1, 1] * z[:, 1]], axis=1)
+        incr += (pdrift * dt)[:, None]
+        x = np.concatenate([np.zeros((k, 2, 1)), np.cumsum(incr, axis=2)], axis=2)
+        a = x[:, :, :-1]
+        b = x[:, :, 1:]
+        kink = np.abs(ell[0] * a[:, 0] + ell[1] * a[:, 1])
         if bridge_minima:
-            u = gen.random(size=a.shape)
-            disc = (b - a) ** 2 - 2.0 * step_var * np.log(u)
+            disc = (b - a) ** 2 - two_var[:, None] * np.log(u)
             minima = 0.5 * (a + b - np.sqrt(disc))
         else:
             minima = np.minimum(a, b)
-        low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=1)
-        w = x + np.concatenate([np.zeros_like(x[:, :1, :]), -low], axis=1)
-        w1 = w[:, :-1, 0]
-        w2 = w[:, :-1, 1]
+        low = np.minimum.accumulate(np.minimum(minima, 0.0), axis=2)
+        w = x - np.concatenate([np.zeros((k, 2, 1)), low], axis=2)
+        w1 = w[:, 0, :-1]
+        w2 = w[:, 1, :-1]
         cost = np.maximum(ell[0] * w1 + ell[1] * w2, 0.0)
-        rows = slice(start, start + k)
-        samples[1][rows] = w1 @ wts
-        samples[2][rows] = w2 @ wts
-        samples[0][rows] = heavy1[0] * samples[1][rows] + heavy1[1] * samples[2][rows] + cost @ wts
-        samples[3][rows] = kink @ wts
+        cols = slice(start, start + k)
+        samples[1, cols] = np.sum(w1 * wts, axis=1)
+        samples[2, cols] = np.sum(w2 * wts, axis=1)
+        samples[0, cols] = heavy1[0] * samples[1, cols] + heavy1[1] * samples[2, cols] + np.sum(cost * wts, axis=1)
+        samples[3, cols] = np.sum(kink * wts, axis=1)
     return samples
 
 
@@ -256,15 +279,29 @@ def _hex(x):
     return None if x is None else x.hex()
 
 
-# Grids of 100 and 3000 steps: a tile of the first holds more paths than a
-# batch, and the second's tile size divides neither 128 nor 300 % 128.
+def _summary_hex(est):
+    return [(_hex(e.mean), _hex(e.stderr)) for e in (est, *est.marginals)]
+
+
+def _oracle_summary_hex(samples, limits, dt, horizon, bridge):
+    """The oracle samples' summaries: the marginals are plain means; with
+    bridge minima the cost goes through the library's one combiner."""
+    want = [bcp._mc_summary(s) for s in samples[:3]]
+    if bridge:
+        want[0] = bcp._control_variate_summary(samples[0], samples[1:], _grid_means(limits, dt, horizon))
+    return [tuple(_hex(v) for v in s) for s in want]
+
+
+# Grids of 100 and 3000 steps: a tile of the first holds up to 128 paths in
+# one tile and 300 in two, and the second's tile size divides neither 127
+# nor 128.
 _ORACLE_GRIDS = ((0.1, 10.0), (0.005, 15.0))
 
 
 def test_oracle_grids_cover_partial_tiles():
     big, small = (bcp._tile_paths(bcp._grid_steps(dt, horizon)) for dt, horizon in _ORACLE_GRIDS)
-    assert big > bcp._BATCH_SIZE
-    assert 1 < small and bcp._BATCH_SIZE % small and (300 % bcp._BATCH_SIZE) % small
+    assert 128 < big < 300
+    assert 1 < small and 127 % small and 128 % small
 
 
 def _grid_means(limits, dt, horizon):
@@ -289,13 +326,30 @@ def test_tiled_pass_is_bit_identical_to_the_vectorized_oracle(limits, bridge, gr
     dt, horizon = grid
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=n_paths, seed=17, bridge_minima=bridge)
     samples = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
-    # The marginals are plain means; with bridge minima the cost goes
-    # through the library's one combiner.
-    want = [bcp._mc_summary(s) for s in samples[:3]]
-    if bridge:
-        want[0] = bcp._control_variate_summary(samples[0], np.stack(samples[1:]), _grid_means(limits, dt, horizon))
-    got = [(_hex(e.mean), _hex(e.stderr)) for e in (est, *est.marginals)]
-    assert got == [tuple(_hex(v) for v in s) for s in want]
+    assert _summary_hex(est) == _oracle_summary_hex(samples, limits, dt, horizon, bridge)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid-minima"])
+def test_the_tile_budget_never_changes_a_bit(limits, bridge, monkeypatch):
+    """One path per tile, 54 per tile and all 130 in one tile give the same
+    mean, stderr and marginals, to the bit."""
+    runs = []
+    for budget in (1, bcp._TILE_BYTES, 1 << 30):
+        monkeypatch.setattr(bcp, "_TILE_BYTES", budget)
+        runs.append(_summary_hex(estimate_j_star(limits, dt=0.05, n_paths=130, seed=23, bridge_minima=bridge)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+def test_the_first_k_paths_of_a_run_are_the_paths_of_a_k_path_run(limits):
+    """A path's values depend only on the seed, the grid and its index: the
+    estimate over k paths is the oracle's summary of the first k of 300."""
+    dt, horizon = _ORACLE_GRIDS[1]
+    samples = _vectorized_j_star_samples(limits, dt, horizon, 300, 31, True)
+    for k in (1, 2, 127, 300):
+        est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=k, seed=31)
+        assert _summary_hex(est) == _oracle_summary_hex(samples[:, :k], limits, dt, horizon, True), k
 
 
 @pytest.mark.parametrize("bridge,n_paths", [(True, 2), (True, 3), (True, 4), (False, 4)])
@@ -332,7 +386,7 @@ def test_the_free_kink_control_cuts_the_two_control_stderr(limits):
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=4000, seed=29)
     samples = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
     means = _grid_means(limits, dt, horizon)
-    two_mean, two_se = bcp._control_variate_summary(samples[0], np.stack(samples[1:3]), means[:2])
+    two_mean, two_se = bcp._control_variate_summary(samples[0], samples[1:3], means[:2])
     assert est.stderr <= 0.8 * two_se, (est.stderr, two_se)
     assert abs(est.mean - two_mean) <= 3.0 * two_se, (est.mean, two_mean, two_se)
     kink_mean, kink_se = bcp._mc_summary(samples[3])

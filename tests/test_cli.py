@@ -311,8 +311,8 @@ def _rejected_in_a_fresh_interpreter(argv):
 )
 def test_a_size_too_large_to_allocate_exits_2(config_path, capsys, command, args):
     """Each request is over 70 PiB, past the address space: the BCP pass
-    refuses it by its batch-buffer limit, and numpy refuses the ld-check
-    draws before touching memory."""
+    refuses it by its buffer limit, and numpy refuses the ld-check draws
+    before touching memory."""
     assert main([command, "--config", config_path, *args]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "arguments"
 
@@ -406,6 +406,26 @@ def test_bcp_grid_without_a_finite_step_count_exits_2(config_path, capsys, dt, h
     assert payload["error"] == "arguments"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bcp", "--dt", "5e-324"], ["bcp", "--horizon", "1e308", "--dt", "1e-3"], ["converge", "--bcp-dt", "5e-324"]],
+    ids=["bcp-dt", "bcp-horizon", "converge-bcp-dt"],
+)
+def test_a_grid_whose_step_count_overflows_exits_2_naming_dt_and_the_horizon(config_path, capsys, argv):
+    """horizon / dt is infinite, so no step count exists: one JSON line, not
+    an OverflowError traceback."""
+    assert main([*argv, "--config", config_path]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "arguments"
+    assert "dt=" in payload["detail"] and "horizon" in payload["detail"]
+
+
+def test_a_refused_step_count_is_written_in_three_digits(config_path, capsys):
+    assert main(["bcp", "--config", config_path, "--dt", "1e-300"]) == 2
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert detail.startswith("1.5e+301 steps x 10000 paths need "), detail
+
+
 # Hypothesis rarely draws floats near the ends of the range on its own.
 _EDGES = st.sampled_from([5e-324, 1e-300, 1e300, 1e308, -1e308, sys.float_info.max, 2**1024])
 _NUMBERS = _EDGES | st.floats() | st.integers()
@@ -429,7 +449,7 @@ def _configs(draw):
 
 
 # Each command's size is bounded whatever the config: the simulator's by
-# event_budget, the BCP pass's by its batch-buffer limit.
+# event_budget, the BCP pass's by its buffer limit.
 _PROPERTY_COMMANDS = (
     ["thresholds"],
     ["simulate", "--r", "2", "--horizon-scaled", "0.01"],
