@@ -36,9 +36,21 @@ __all__ = [
 _TILE_BYTES = 1 << 18
 
 # Largest buffers estimate_j_star allocates: a tile of n-step paths holds
-# 6 n + 2 floats per path (normals, uniforms and workloads), and each path
-# keeps 4 discounted integrals. 2 GiB admit one path of 44 million steps.
+# 6 n + 2 floats per path (normals, uniforms and workloads) and 24 more for
+# the carries of the late stretch and their compaction; each path keeps 4
+# discounted integrals, and their summaries take at most 8 floats per path
+# more (the centred controls and cost, and lstsq's copies of them). 2 GiB
+# admit one path of 44 million steps.
 _MAX_BUFFER_BYTES = 2 << 30
+
+# Russian roulette past gamma t = _ROULETTE_AFTER: the discount weights
+# there hold e^-5 (0.7%) of the mass but, at the default horizon 15/gamma,
+# two-thirds of a path's steps. So a path runs its late stretch with
+# probability _ROULETTE_P, and that stretch's integrals are weighted by
+# 1/_ROULETTE_P (Glasserman 2003, sec. 4): each path keeps its expectation
+# and the paths stay i.i.d.
+_ROULETTE_AFTER = 5.0
+_ROULETTE_P = 0.125
 
 # Float tolerance of every residual in admissibility_audit.
 _AUDIT_ATOL = 1e-9
@@ -109,17 +121,21 @@ def _grid_steps(dt: float, horizon: float) -> int:
     return n
 
 
-def _running_low(x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: np.ndarray) -> None:
-    """Minus the pushing of free paths x (g, m, n+1) starting at 0, into out.
+def _running_low(
+    x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: np.ndarray, floor: np.ndarray | float
+) -> None:
+    """Minus the pushing of free paths x (g, m, k+1), given the low floor
+    (<= 0, broadcast against out) that they carry in, into out.
 
-    Time runs along the last axis. out (g, m, n) receives the running
-    minimum of the step minima and 0, so the pushing is 0 at the start and
-    -out after it. Each step's minimum is the smaller endpoint, or, given
-    uniforms u of out's shape, a draw from the exact bridge minimum law per
-    coordinate: m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step
-    endpoints a, b and step variance v; two_var holds 2 v and broadcasts
-    against out. Every stage runs in place, and u is used up as scratch.
-    fmin is minimum but for NaN, and no step minimum is NaN.
+    Time runs along the last axis. out (g, m, k) receives the running
+    minimum of the step minima and floor, so the pushing is -floor at the
+    start and -out after it; a path from 0 carries in floor 0. Each step's
+    minimum is the smaller endpoint, or, given uniforms u of out's shape, a
+    draw from the exact bridge minimum law per coordinate:
+    m = (a + b - sqrt((b-a)^2 - 2 v ln U))/2 given step endpoints a, b and
+    step variance v; two_var holds 2 v and broadcasts against out. Every
+    stage runs in place, and u is used up as scratch. fmin is minimum but
+    for NaN, and no step minimum is NaN.
     """
     a = x[..., :-1]
     b = x[..., 1:]
@@ -135,7 +151,7 @@ def _running_low(x: np.ndarray, u: np.ndarray | None, two_var: np.ndarray, out: 
         np.add(a, b, out=u)
         np.subtract(u, out, out=out)
         out *= 0.5
-    np.minimum(out, 0.0, out=out)
+    np.minimum(out, floor, out=out)
     np.fmin.accumulate(out, axis=-1, out=out)
 
 
@@ -166,7 +182,7 @@ def simulate_rbm(
     step_var = np.diag(pcov) * dt
     u = gen.random(size=(n, 2)).T[None] if bridge_minima else None
     pushing = np.zeros((n + 1, 2))
-    _running_low(free_w.T[None], u, 2.0 * step_var[:, None], pushing.T[None, :, 1:])
+    _running_low(free_w.T[None], u, 2.0 * step_var[:, None], pushing.T[None, :, 1:], 0.0)
     np.negative(pushing[1:], out=pushing[1:])
     times = np.arange(n + 1) * dt
     return RbmPath(times=times, workload=free_w + pushing, pushing=pushing, netput=x, dt=dt)
@@ -275,14 +291,31 @@ def _control_variate_summary(cost: np.ndarray, controls: np.ndarray, means: np.n
     x = (controls - control_bar[:, None]).T
     y = cost - cost.mean()
     beta = np.linalg.lstsq(x, y, rcond=None)[0]
-    resid = y - x @ beta
+    y -= x @ beta
     mean = float(cost.mean() - beta @ (control_bar - means))
-    return mean, float(math.sqrt(resid @ resid / dof) / math.sqrt(n))
+    np.square(y, out=y)
+    return mean, float(math.sqrt(np.add.reduce(y) / dof) / math.sqrt(n))
 
 
 def _tile_paths(n_steps: int) -> int:
     """Paths per work tile on an n_steps grid: as many as _TILE_BYTES holds, at least one."""
     return max(1, _TILE_BYTES // (16 * n_steps))
+
+
+def _buffer_need(n_steps: int, n_paths: int) -> int:
+    """Bytes of the buffers that estimate_j_star allocates for n_paths paths
+    of n_steps steps, by the count at _MAX_BUFFER_BYTES."""
+    return 8 * (min(_tile_paths(n_steps), n_paths) * (6 * n_steps + 26) + 12 * n_paths)
+
+
+def _draw(gen: np.random.Generator, z: np.ndarray, u: np.ndarray | None) -> None:
+    """One path's stretch of the stream: its normals z (2, k), row by row,
+    then, if given, its uniforms u (2, k), row by row."""
+    for row in z:
+        gen.standard_normal(out=row)
+    if u is not None:
+        for row in u:
+            gen.random(out=row)
 
 
 def estimate_j_star(
@@ -297,9 +330,16 @@ def estimate_j_star(
 
     Integrates the minimal holding cost of the reflected workload pair with
     exact per-step exponential weights (integrand held at the left grid
-    point). horizon defaults to 15/gamma. A run whose tile buffers and
-    per-path integrals would exceed _MAX_BUFFER_BYTES is refused before
-    anything is allocated.
+    point). horizon defaults to 15/gamma. A run whose tile buffers,
+    per-path integrals and summaries would exceed _MAX_BUFFER_BYTES is
+    refused before anything is allocated.
+
+    Each path runs in full up to grid step n1 = min(n, ceil(5/(gamma dt))).
+    Past it, the path goes on with probability 1/8, and its integrals over
+    the steps [n1, n) are weighted by 8 (Russian roulette, _ROULETTE_AFTER
+    and _ROULETTE_P). Every per-path value keeps its expectation, and the
+    paths stay i.i.d., so the stderr and the controls' exact means below
+    hold as they are. At horizons up to 5/gamma no path is cut.
 
     The same paths also give the discounted integral of each reflected
     workload coordinate, returned in the result's marginals as plain means.
@@ -328,13 +368,13 @@ def estimate_j_star(
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
-    tile = min(_tile_paths(n), n_paths)
-    need = 8 * (tile * (6 * n + 2) + 4 * n_paths)
+    need = _buffer_need(n, n_paths)
     if need > _MAX_BUFFER_BYTES:
         raise ValueError(
-            f"{n:.3g} steps x {n_paths} paths need {need / 2**30:.3g} GiB of tile buffers and per-path "
-            f"integrals, over the limit of {_MAX_BUFFER_BYTES / 2**30:g} GiB"
+            f"{n:.3g} steps x {n_paths} paths need {need / 2**30:.3g} GiB of tile buffers, per-path "
+            f"integrals and their summaries, over the limit of {_MAX_BUFFER_BYTES / 2**30:g} GiB"
         )
+    n1 = min(n, math.ceil(_ROULETTE_AFTER / (gamma * dt)))
     gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
@@ -343,57 +383,50 @@ def estimate_j_star(
     step_var = np.diag(pcov) * dt
     corr = math.sqrt(dt) * pchol
     wts = _discount_weights(gamma, n, dt)
-
-    # Per-path discounted integrals, one column per path: the cost, each
-    # workload coordinate, and the free kink |l . X|, which only the
-    # bridge-minima estimate uses.
-    samples = np.empty((4, n_paths))
-    # Each path draws its own stretch of the stream: its normals as a (2, n)
-    # block, one row per workload coordinate, then, with bridge minima, its
-    # uniforms as a (2, n) block. So a path depends only on the seed, the
-    # grid and its index. Tiles of whole paths run every stage in place on
-    # planar (tile, 2, n) buffers, so the sums and running minima scan
-    # contiguous rows: x holds the free paths and then the workloads, z the
-    # normals and then scratch, u the uniforms and then scratch.
-    z = np.empty((tile, 2, n))
-    u = np.empty((tile, 2, n)) if bridge_minima else None
-    x = np.empty((tile, 2, n + 1))
-    x[:, :, 0] = 0.0
     drift_dt = (pdrift * dt)[:, None]
     two_var = (2.0 * step_var)[:, None]
-    for start in range(0, n_paths, tile):
-        g = min(tile, n_paths - start)
-        rows = slice(start, start + g)
-        zt, xt = z[:g], x[:g]
-        ut = None if u is None else u[:g]
-        for i in range(g):
-            gen.standard_normal(out=zt[i])
-            if ut is not None:
-                gen.random(out=ut[i])
+
+    def integrals(
+        x: np.ndarray, z: np.ndarray, u: np.ndarray | None, floor: np.ndarray, wts: np.ndarray, out: np.ndarray
+    ) -> None:
+        """The discounted integrals of a stretch of k steps of g paths, into
+        out: the cost, each workload coordinate and, given uniforms, the
+        free kink |l . X|, one column per path.
+
+        x (g, 2, k+1) holds each path's free workload netput at the
+        stretch's start in column 0, z (g, 2, k) and u (g, 2, k) its
+        normals and uniforms, and floor (g, 2, 1) its running low carried
+        in. Every stage runs in place, using z and u up as scratch. The
+        integrands are held at the k left points with weights wts. On
+        return x's last column still holds the free value at the stretch's
+        end, and floor the running low there, for the next stretch.
+        """
         # The increments corr z + drift dt (corr is lower triangular),
-        # summed in place into the free paths.
-        free = xt[:, :, 1:]
-        np.multiply(zt[:, 0], corr[0, 0], out=free[:, 0])
-        np.multiply(zt[:, 0], corr[1, 0], out=free[:, 1])
-        zt[:, 1] *= corr[1, 1]
-        free[:, 1] += zt[:, 1]
+        # summed in place into the free paths from their start values.
+        free = x[:, :, 1:]
+        np.multiply(z[:, 0], corr[0, 0], out=free[:, 0])
+        np.multiply(z[:, 0], corr[1, 0], out=free[:, 1])
+        z[:, 1] *= corr[1, 1]
+        free[:, 1] += z[:, 1]
         free += drift_dt
-        np.cumsum(free, axis=2, out=free)
-        left = xt[:, :, :-1]
-        c, s = zt[:, 0], zt[:, 1]
+        np.cumsum(x, axis=2, out=x)
+        left = x[:, :, :-1]
+        c, s = z[:, 0], z[:, 1]
         # Each discount sum weights a row in place and adds it up on its
         # own, pairwise, so a path's bits depend neither on the paths that
         # share its tile nor on BLAS (whose dot splits long rows by thread).
-        if ut is not None:
+        if u is not None:
             # |l . X| of the free netput at the left points, before reflection.
             np.multiply(left[:, 0], ell[0], out=c)
             np.multiply(left[:, 1], ell[1], out=s)
             c += s
             np.absolute(c, out=c)
             c *= wts
-            np.add.reduce(c, axis=-1, out=samples[3, rows])
-        _running_low(xt, ut, two_var, zt)
-        free -= zt
+            np.add.reduce(c, axis=-1, out=out[3])
+        _running_low(x, u, two_var, z, floor)
+        left[..., :1] -= floor
+        floor[...] = z[..., -1:]
+        left[..., 1:] -= z[..., :-1]
         # The cost beyond heavy1's linear form: (l . w)+.
         np.multiply(left[:, 0], ell[0], out=c)
         np.multiply(left[:, 1], ell[1], out=s)
@@ -401,8 +434,57 @@ def estimate_j_star(
         np.maximum(c, 0.0, out=c)
         c *= wts
         left *= wts
-        m = np.add.reduce(left, axis=-1, out=samples[1:3, rows].T)
-        samples[0, rows] = heavy1[0] * m[:, 0] + heavy1[1] * m[:, 1] + np.add.reduce(c, axis=-1)
+        m = np.add.reduce(left, axis=-1, out=out[1:3].T)
+        out[0] = heavy1[0] * m[:, 0] + heavy1[1] * m[:, 1] + np.add.reduce(c, axis=-1)
+
+    # Per-path discounted integrals, one column per path: the cost, each
+    # workload coordinate and, with bridge minima, which alone use it, the
+    # free kink |l . X|.
+    samples = np.empty((4 if bridge_minima else 3, n_paths))
+    # Each path draws its own stretch of the stream: its early normals
+    # (steps [0, n1)), row 0 then row 1, then, with bridge minima, its early
+    # uniforms the same way; then, if n1 < n, one roulette uniform, and only
+    # if that is below _ROULETTE_P, its late normals and late uniforms. So a
+    # path depends only on the seed, the grid and its index. Tiles of whole
+    # paths run every stage in place on planar (tile, 2, n) buffers, so the
+    # sums and running minima scan contiguous rows: x holds the free paths
+    # and then the workloads, z the normals and then scratch, u the
+    # uniforms and then scratch. A tile's continuing paths draw their late
+    # stretch into columns n1: of the front rows, in order, and run it
+    # there once the tile's early stretch is done, carrying each path's
+    # free value and running low at n1 over into those rows.
+    tile = min(_tile_paths(n), n_paths)
+    z = np.empty((tile, 2, n))
+    u = np.empty((tile, 2, n)) if bridge_minima else None
+    x = np.empty((tile, 2, n + 1))
+    x[:, :, 0] = 0.0
+    floor = np.empty((tile, 2, 1))
+    late_sums = np.empty((samples.shape[0], tile))
+    early, late = np.s_[..., :n1], np.s_[..., n1:]
+    for start in range(0, n_paths, tile):
+        g = min(tile, n_paths - start)
+        going_on = []
+        for i in range(g):
+            _draw(gen, z[i][early], None if u is None else u[i][early])
+            if n1 < n and gen.random() < _ROULETTE_P:
+                k = len(going_on)
+                _draw(gen, z[k][late], None if u is None else u[k][late])
+                going_on.append(i)
+        floor[:g] = 0.0
+        integrals(
+            x[:g, :, : n1 + 1], z[:g][early], None if u is None else u[:g][early], floor[:g], wts[:n1],
+            samples[:, start : start + g],
+        )
+        m = len(going_on)
+        if m:
+            rows = np.array(going_on)
+            x[:m, :, n1] = x[rows, :, n1]
+            floor[:m] = floor[rows]
+            integrals(
+                x[:m, :, n1:], z[:m][late], None if u is None else u[:m][late], floor[:m], wts[n1:],
+                late_sums[:, :m],
+            )
+            samples[:, start + rows] += late_sums[:, :m] / _ROULETTE_P
 
     sigma = np.sqrt(np.diag(pcov))
     summaries = [_mc_summary(values) for values in samples[:3]]
@@ -411,8 +493,8 @@ def estimate_j_star(
         # workload integrals' exact means on the grid control the cost;
         # the free kink's grid mean is exact with or without them.
         t = np.arange(n) * dt
-        means = [wts @ _reflected_mean(d, sd, t) for d, sd in zip(pdrift, sigma)]
-        means.append(wts @ _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t))
+        means = [np.add.reduce(wts * _reflected_mean(d, sd, t)) for d, sd in zip(pdrift, sigma)]
+        means.append(np.add.reduce(wts * _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t)))
         summaries[0] = _control_variate_summary(samples[0], samples[1:], np.array(means))
     coeffs = (
         np.array([max(heavy3[0], heavy1[0]), max(heavy3[1], heavy1[1])]),

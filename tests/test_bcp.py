@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,16 +111,10 @@ def test_a_grid_past_the_buffer_limit_is_refused():
 
 def test_a_path_count_past_the_buffer_limit_is_refused():
     """1e14 paths of 30 steps keep only 776 KiB of tile buffers, but their
-    four per-path integrals would need 2.8 PiB; the pass refuses them before
-    allocating, naming the limit."""
+    per-path integrals and summaries would need 8.5 PiB; the pass refuses
+    them before allocating, naming the limit."""
     with pytest.raises(ValueError, match="over the limit of 2 GiB"):
         estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
-
-
-def _stated_need(dt, horizon, n_paths):
-    """The pass's stated need in bytes: 8 per float of tile * (6 n + 2) + 4 n_paths."""
-    n = bcp._grid_steps(dt, horizon)
-    return 8 * (min(bcp._tile_paths(n), n_paths) * (6 * n + 2) + 4 * n_paths)
 
 
 def _traced_peak(**kwargs):
@@ -131,9 +129,18 @@ def _traced_peak(**kwargs):
 def test_estimate_j_star_peaks_within_its_stated_need():
     """The pass allocates no buffer that its refusal check does not count:
     its traced peak stays within the stated need plus 1 MiB for the
-    per-step constants and the summaries."""
-    need = _stated_need(0.005, 15.0, 256)
+    per-step constants."""
+    need = bcp._buffer_need(bcp._grid_steps(0.005, 15.0), 256)
     peak = _traced_peak(dt=0.005, horizon=15.0, n_paths=256)
+    assert peak <= need + (1 << 20), (peak, need)
+
+
+def test_the_stated_need_counts_the_summaries_of_many_paths():
+    """At 50,000 paths of 300 steps the per-path terms dominate: the four
+    integrals, and the summaries' centred copies of them. The traced peak
+    stays within the stated need plus 1 MiB."""
+    need = bcp._buffer_need(bcp._grid_steps(0.05, 15.0), 50_000)
+    peak = _traced_peak(dt=0.05, horizon=15.0, n_paths=50_000)
     assert peak <= need + (1 << 20), (peak, need)
 
 
@@ -223,18 +230,30 @@ def test_reference_cost_dominates_its_largest_ingredient():
     assert est.mean < 2.0
 
 
-def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima):
+def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima, roulette=True):
     """The whole-array form of estimate_j_star's pass, kept as its oracle:
     per-path discounted integrals of the cost, of each workload coordinate
-    and of the free kink |l . X|, as rows of a (4, n_paths) array. The same
-    draws in the same order: each path's normals as a (2, n) block, then,
-    with bridge minima, its uniforms as a (2, n) block. Every stage runs on
-    full (k, 2, n) arrays of up to 256 paths, which only bounds the memory,
-    since no path's values depend on another's; each discount sum is
-    numpy's sum over one path's row. The cost is heavy1 . w + (l . w)+ with
-    l = heavy3 - heavy1, its integral formed from the workload integrals."""
+    and of the free kink |l . X|, as rows of a (4, n_paths) array, and the
+    indices of the paths that ran past the cut.
+
+    The same draws in the same order. The cut sits at step
+    n1 = min(n, ceil(5/(gamma dt))). Each path draws its early normals
+    (steps [0, n1)), row 0 then row 1, then, with bridge minima, its early
+    uniforms the same way. If n1 < n it then draws one uniform, and only if
+    that is below 1/8 its late normals and late uniforms; its integrals
+    over [n1, n) then count 8 times, and a path that stops has none. With
+    roulette=False every path draws its whole (2, n) normals and then its
+    (2, n) uniforms, one call each, and runs to n: the layout without a cut.
+
+    Every stage runs on full (k, 2, n) arrays of up to 256 paths, which only
+    bounds the memory, since no path's values depend on another's; a
+    stopped path's late steps run on filler draws and are dropped. Each
+    discount sum is numpy's sum over one path's row, early and late apart.
+    The cost is heavy1 . w + (l . w)+ with l = heavy3 - heavy1, its
+    integral formed from the workload integrals."""
     chunk = 256
     n = bcp._grid_steps(dt, horizon)
+    n1 = min(n, math.ceil(5.0 / (limits.gamma * dt))) if roulette else n
     gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
@@ -243,14 +262,30 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
     corr = math.sqrt(dt) * pchol
     wts = bcp._discount_weights(limits.gamma, n, dt)
     samples = np.empty((4, n_paths))
+    going_on = []
     for start in range(0, n_paths, chunk):
         k = min(chunk, n_paths - start)
-        z = np.empty((k, 2, n))
-        u = np.empty((k, 2, n))
+        z = np.zeros((k, 2, n))
+        u = np.full((k, 2, n), 0.5)
+        late = np.zeros(k, dtype=bool)
         for j in range(k):
-            z[j] = gen.standard_normal(size=(2, n))
+            if not roulette:
+                z[j] = gen.standard_normal(size=(2, n))
+                if bridge_minima:
+                    u[j] = gen.random(size=(2, n))
+                continue
+            z[j, 0, :n1] = gen.standard_normal(n1)
+            z[j, 1, :n1] = gen.standard_normal(n1)
             if bridge_minima:
-                u[j] = gen.random(size=(2, n))
+                u[j, 0, :n1] = gen.random(n1)
+                u[j, 1, :n1] = gen.random(n1)
+            if n1 < n and gen.random() < 1.0 / 8.0:
+                late[j] = True
+                z[j, 0, n1:] = gen.standard_normal(n - n1)
+                z[j, 1, n1:] = gen.standard_normal(n - n1)
+                if bridge_minima:
+                    u[j, 0, n1:] = gen.random(n - n1)
+                    u[j, 1, n1:] = gen.random(n - n1)
         incr = np.stack([corr[0, 0] * z[:, 0], corr[1, 0] * z[:, 0] + corr[1, 1] * z[:, 1]], axis=1)
         incr += (pdrift * dt)[:, None]
         x = np.concatenate([np.zeros((k, 2, 1)), np.cumsum(incr, axis=2)], axis=2)
@@ -267,12 +302,19 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
         w1 = w[:, 0, :-1]
         w2 = w[:, 1, :-1]
         cost = np.maximum(ell[0] * w1 + ell[1] * w2, 0.0)
-        cols = slice(start, start + k)
-        samples[1, cols] = np.sum(w1 * wts, axis=1)
-        samples[2, cols] = np.sum(w2 * wts, axis=1)
-        samples[0, cols] = heavy1[0] * samples[1, cols] + heavy1[1] * samples[2, cols] + np.sum(cost * wts, axis=1)
-        samples[3, cols] = np.sum(kink * wts, axis=1)
-    return samples
+        parts = []
+        for steps in (slice(0, n1), slice(n1, n)):
+            part = np.empty((4, k))
+            part[1] = np.sum(w1[:, steps] * wts[steps], axis=1)
+            part[2] = np.sum(w2[:, steps] * wts[steps], axis=1)
+            part[0] = heavy1[0] * part[1] + heavy1[1] * part[2] + np.sum(cost[:, steps] * wts[steps], axis=1)
+            part[3] = np.sum(kink[:, steps] * wts[steps], axis=1)
+            parts.append(part)
+        early, tail = parts
+        early[:, late] += tail[:, late] * 8.0
+        samples[:, start : start + k] = early
+        going_on.extend(start + np.flatnonzero(late))
+    return samples, np.array(going_on, dtype=int)
 
 
 def _hex(x):
@@ -292,16 +334,25 @@ def _oracle_summary_hex(samples, limits, dt, horizon, bridge):
     return [tuple(_hex(v) for v in s) for s in want]
 
 
-# Grids of 100 and 3000 steps: a tile of the first holds up to 128 paths in
-# one tile and 300 in two, and the second's tile size divides neither 127
-# nor 128.
+# Grids of 100 and 3000 steps, both cut by the roulette at gamma t = 5: a
+# tile of the first holds up to 128 paths in one tile and 300 in two, and
+# the second's tile size divides neither 127 nor 128.
 _ORACLE_GRIDS = ((0.1, 10.0), (0.005, 15.0))
 
 
 def test_oracle_grids_cover_partial_tiles():
+    """The seed-17 runs of the bit test send several paths of one tile on
+    past the cut, on both grids, so the late stretch runs on compacted
+    front rows that are not the paths' own."""
     big, small = (bcp._tile_paths(bcp._grid_steps(dt, horizon)) for dt, horizon in _ORACLE_GRIDS)
     assert 128 < big < 300
     assert 1 < small and 127 % small and 128 % small
+    for (dt, horizon), tile in zip(_ORACLE_GRIDS, (big, small)):
+        assert bcp._grid_steps(dt, horizon) > math.ceil(5.0 / (LIMITS.gamma * dt))
+        _, going_on = _vectorized_j_star_samples(LIMITS, dt, horizon, 300, 17, True)
+        tiles = going_on // tile
+        front_row = np.arange(going_on.size) - np.searchsorted(tiles, tiles)
+        assert np.bincount(tiles).max() >= 2 and np.any(going_on % tile != front_row)
 
 
 def _grid_means(limits, dt, horizon):
@@ -313,8 +364,8 @@ def _grid_means(limits, dt, horizon):
     ell = np.subtract(heavy3, heavy1)
     wts = bcp._discount_weights(limits.gamma, n, dt)
     t = np.arange(n) * dt
-    means = [wts @ bcp._reflected_mean(d, s, t) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))]
-    means.append(wts @ bcp._folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t))
+    means = [np.add.reduce(wts * bcp._reflected_mean(d, s, t)) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))]
+    means.append(np.add.reduce(wts * bcp._folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t)))
     return np.array(means)
 
 
@@ -325,7 +376,7 @@ def _grid_means(limits, dt, horizon):
 def test_tiled_pass_is_bit_identical_to_the_vectorized_oracle(limits, bridge, grid, n_paths):
     dt, horizon = grid
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=n_paths, seed=17, bridge_minima=bridge)
-    samples = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
+    samples, _ = _vectorized_j_star_samples(limits, dt, horizon, n_paths, 17, bridge)
     assert _summary_hex(est) == _oracle_summary_hex(samples, limits, dt, horizon, bridge)
 
 
@@ -346,10 +397,62 @@ def test_the_first_k_paths_of_a_run_are_the_paths_of_a_k_path_run(limits):
     """A path's values depend only on the seed, the grid and its index: the
     estimate over k paths is the oracle's summary of the first k of 300."""
     dt, horizon = _ORACLE_GRIDS[1]
-    samples = _vectorized_j_star_samples(limits, dt, horizon, 300, 31, True)
+    samples, _ = _vectorized_j_star_samples(limits, dt, horizon, 300, 31, True)
     for k in (1, 2, 127, 300):
         est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=k, seed=31)
         assert _summary_hex(est) == _oracle_summary_hex(samples[:, :k], limits, dt, horizon, True), k
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "grid-minima"])
+@pytest.mark.parametrize("dt,horizon", [(0.1, 5.0), (0.05, 3.0)], ids=["at-5", "below-5"])
+def test_a_horizon_up_to_5_over_gamma_runs_the_uncut_stream(limits, bridge, dt, horizon):
+    """Up to gamma t = 5 no path is cut and no roulette uniform is drawn:
+    the pass is the oracle without roulette, each path drawing its whole
+    (2, n) normals and uniforms in one call each, bit for bit."""
+    est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=130, seed=19, bridge_minima=bridge)
+    samples, _ = _vectorized_j_star_samples(limits, dt, horizon, 130, 19, bridge, roulette=False)
+    assert _summary_hex(est) == _oracle_summary_hex(samples, limits, dt, horizon, bridge)
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+def test_the_cut_paths_keep_the_marginals_at_their_exact_grid_means(limits):
+    """With the late stretch run by one path in eight and weighted by 8,
+    each plain marginal over 40,000 paths of 300 steps sits within 4
+    stderrs of its exact grid mean. Without the weight the marginals would
+    read ~1.7% low, about 6 stderrs."""
+    dt, horizon = 0.05, 15.0
+    est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=40_000, seed=37)
+    for marginal, mean in zip(est.marginals, _grid_means(limits, dt, horizon)[:2]):
+        assert abs(marginal.mean - mean) <= 4.0 * marginal.stderr, (marginal.mean, mean, marginal.stderr)
+
+
+def test_the_estimate_does_not_depend_on_the_blas_thread_count():
+    """The exact grid means of the controls and the residual sum of squares
+    are pairwise sums, not BLAS dots, which OpenBLAS splits across threads
+    on rows over 10,000 floats: a 15,000-step pass, and the combiner over
+    100,000 samples, give the same bits with 1 and 2 BLAS threads."""
+    src = str(Path(bcp.__file__).resolve().parent.parent)
+    code = (
+        "import numpy as np\n"
+        "from crisscross.bcp import _control_variate_summary, estimate_j_star\n"
+        "from crisscross.params import NetworkLimits\n"
+        "e = estimate_j_star(NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0),"
+        " dt=1e-3, n_paths=12, seed=4)\n"
+        "print(*(v.hex() for c in (e, *e.marginals) for v in (c.mean, c.stderr)))\n"
+        "gen = np.random.default_rng(1)\n"
+        "controls = gen.exponential(size=(3, 100_000))\n"
+        "cost = 2.0 * controls[0] - 0.5 * controls[1] + 0.3 * controls[2] + 0.3 * gen.standard_normal(100_000)\n"
+        "print(*(v.hex() for v in _control_variate_summary(cost, controls, np.ones(3))))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("bridge,n_paths", [(True, 2), (True, 3), (True, 4), (False, 4)])
@@ -357,7 +460,7 @@ def test_cost_is_the_plain_mean_without_bridge_minima_or_below_four_paths(bridge
     """Three controls leave no residual degree of freedom up to four paths,
     so the bound now sits at five paths; the name keeps its old ids."""
     est = estimate_j_star(ASYMMETRIC_DRIFTED, dt=0.1, horizon=10.0, n_paths=n_paths, seed=5, bridge_minima=bridge)
-    samples = _vectorized_j_star_samples(ASYMMETRIC_DRIFTED, 0.1, 10.0, n_paths, 5, bridge)
+    samples, _ = _vectorized_j_star_samples(ASYMMETRIC_DRIFTED, 0.1, 10.0, n_paths, 5, bridge)
     assert (_hex(est.mean), _hex(est.stderr)) == tuple(_hex(v) for v in bcp._mc_summary(samples[0]))
 
 
@@ -368,7 +471,7 @@ def test_control_variates_cut_the_cost_stderr_without_moving_the_mean(limits):
     plain marginal sits within 3 stderrs of its exact grid mean."""
     dt, horizon = 0.01, 15.0
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=4000, seed=29)
-    samples = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
+    samples, _ = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
     plain_mean, plain_se = bcp._mc_summary(samples[0])
     assert abs(est.mean - plain_mean) <= 3.0 * plain_se, (est.mean, plain_mean, plain_se)
     assert est.stderr <= plain_se / 3.0, (est.stderr, plain_se)
@@ -384,7 +487,7 @@ def test_the_free_kink_control_cuts_the_two_control_stderr(limits):
     stderrs of its exact grid mean."""
     dt, horizon = 0.01, 15.0
     est = estimate_j_star(limits, dt=dt, horizon=horizon, n_paths=4000, seed=29)
-    samples = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
+    samples, _ = _vectorized_j_star_samples(limits, dt, horizon, 4000, 29, True)
     means = _grid_means(limits, dt, horizon)
     two_mean, two_se = bcp._control_variate_summary(samples[0], samples[1:3], means[:2])
     assert est.stderr <= 0.8 * two_se, (est.stderr, two_se)

@@ -166,6 +166,7 @@ def test_chain_weights_integrate_the_holding_times_exactly(r):
     first_moment = c @ np.arange(n) * lam1 / rate
     assert first_moment == pytest.approx(lam1 * (1.0 - math.exp(-g * u) * (1.0 + g * u)) / g**2, rel=1e-9, abs=0.0)
     assert end.sum() == pytest.approx(1.0, rel=1e-9, abs=0.0)
+    assert 0 <= weights.end_lo and weights.end_lo + end.size <= n
     surv_lo, pmf = _poisson_window((rate + g) * u)
     assert surv_lo + pmf.size == n
     assert _poisson_outside((rate + g) * u, surv_lo, n) < 1e-15
@@ -240,13 +241,20 @@ def _stacked(states):
     return np.stack([states[b] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1)
 
 
+def _padded_end(weights):
+    """The end-state weights over all K steps: the window's pmf, zeros outside."""
+    end = np.zeros(weights.value.size)
+    end[weights.end_lo : weights.end_lo + weights.end.size] = weights.end
+    return end
+
+
 def _stepwise_chain_cost(net, policy, weights, h, seed):
     """Test-only oracle of _chain_cost: the stepwise chain on the same
     uniforms, and one dot product per weight vector."""
     x = np.random.Generator(np.random.PCG64(seed)).random(weights.value.size) * _clock_rate(net)
     q = _stepwise_chain(net, policy, x)[0][:-1]
     hq = h[0] * q[:, 0] + h[1] * q[:, 1] + h[2] * q[:, 2]
-    return weights.value @ hq * weights.value_scale, weights.end @ hq * weights.end_scale
+    return weights.value @ hq * weights.value_scale, _padded_end(weights) @ hq * weights.end_scale
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
@@ -330,7 +338,8 @@ def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
 def test_chain_cost_is_one_left_to_right_sum_over_all_steps(policy):
     """_chain_cost carries its sums across the walk's blocks, so its bits
     are those of one left-to-right sum of weight times cost over all the
-    steps, here more than two blocks of them."""
+    steps, here more than two blocks of them; the end sum too, though it
+    adds only the end window's steps."""
     net = make_r_network(ASYMMETRIC_DRIFTED, 20.0, 1.2, 3.0)
     weights = _chain_weights(net, ASYMMETRIC_DRIFTED.gamma, 15.0)
     n = weights.value.size
@@ -341,7 +350,7 @@ def test_chain_cost_is_one_left_to_right_sum_over_all_steps(policy):
     hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
     want = (
         float(np.cumsum(weights.value * hq)[-1]) * weights.value_scale,
-        float(np.cumsum(weights.end * hq)[-1]) * weights.end_scale,
+        float(np.cumsum(_padded_end(weights) * hq)[-1]) * weights.end_scale,
     )
     got = _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, seed)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -456,8 +465,9 @@ def test_estimate_cost_refuses_a_run_past_the_event_limit_before_allocating():
 
 def test_estimate_cost_holds_its_weights_and_one_block_of_the_walk():
     """One replication at r = 160 (~1.9M steps) holds the cell's weights,
-    16 bytes per step, and buffers of one block of the walk, whatever r is;
-    a replication buffered whole would take several times the weights."""
+    ~8.1 bytes per step, and buffers of one block of the walk, whatever r
+    is; a replication buffered whole would take several times the
+    weights."""
     net = make_r_network(LIMITS, 160.0, 1.2, 3.0)
     n_steps = _chain_weights(net, LIMITS.gamma, 15.0).value.size
     tracemalloc.start()
