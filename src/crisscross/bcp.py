@@ -48,7 +48,8 @@ _MAX_BUFFER_BYTES = 2 << 30
 # two-thirds of a path's steps. So a path runs its late stretch with
 # probability _ROULETTE_P, and that stretch's integrals are weighted by
 # 1/_ROULETTE_P (Glasserman 2003, sec. 4): each path keeps its expectation
-# and the paths stay i.i.d.
+# and the paths stay i.i.d. experiments._chain_cost cuts the chain's
+# replications the same way.
 _ROULETTE_AFTER = 5.0
 _ROULETTE_P = 0.125
 
@@ -119,6 +120,13 @@ def _grid_steps(dt: float, horizon: float) -> int:
     if n < 1:
         raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
     return n
+
+
+def _roulette_cut(n_steps: int, dt: float, gamma: float) -> int:
+    """The step at which Russian roulette cuts a run of n_steps steps of
+    length dt, discounted at rate gamma: the first one at or past
+    gamma t = _ROULETTE_AFTER, or n_steps if none is."""
+    return min(n_steps, math.ceil(_ROULETTE_AFTER / (gamma * dt)))
 
 
 def _running_low(
@@ -374,7 +382,7 @@ def estimate_j_star(
             f"{n:.3g} steps x {n_paths} paths need {need / 2**30:.3g} GiB of tile buffers, per-path "
             f"integrals and their summaries, over the limit of {_MAX_BUFFER_BYTES / 2**30:g} GiB"
         )
-    n1 = min(n, math.ceil(_ROULETTE_AFTER / (gamma * dt)))
+    n1 = _roulette_cut(n, dt, gamma)
     gen = np.random.Generator(np.random.PCG64(seed))
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bcp import CostEstimate, _mc_summary, estimate_j_star
+from .bcp import _ROULETTE_P, CostEstimate, _mc_summary, _roulette_cut, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
 from .policies import BUFFER1, BUFFER2, BUFFER3, _require_policy
 from .simulate import ScaledTrajectory, Trajectory, _clock_rate, _walk, event_budget, simulate
@@ -121,12 +121,16 @@ def estimate_cost(
     """Discounted diffusion-scaled cost of policy on net over horizon_scaled,
     averaged over n_reps replications of the uniformized jump chain.
 
-    Replication k's cost is the mean, given its jump chain, of what
-    discounted_cost integrates along replicate(net, policy, horizon_scaled,
-    seed, k), which walks the same chain; see _chain_cost. Its uniforms
-    come from replication_seed(seed, r, k) alone, so different policies see
-    the same uniforms (common random numbers). A run that event_budget
-    refuses is refused before anything is allocated.
+    Replication k's cost has, in expectation over its roulette draw, the
+    mean, given its jump chain, of what discounted_cost integrates along
+    replicate(net, policy, horizon_scaled, seed, k), which walks the same
+    chain; see _chain_cost. Past gamma t = 5 the replication goes on with
+    probability 1/8, and what its steps there add to its value and to its
+    tail counts 8 times, so mean and truncation_bound stay unbiased. Its
+    chain uniforms and its roulette draw come from replication_seed(seed,
+    r, k) alone, so different policies see the same draws (common random
+    numbers). A run that event_budget refuses is refused before anything is
+    allocated.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
@@ -185,9 +189,15 @@ class _ChainWeights:
     Poisson window alone (_poisson_window), which holds all but < 1e-15 of
     that law and 1.7-6.7% of the K steps at r = 160-40: 8.1-8.5 bytes of
     weights per step.
+
+    Russian roulette cuts the steps from k1 = min(K, ceil(5 L r^2/gamma))
+    on (bcp._roulette_cut on the chain's unscaled time: mean step 1/L,
+    discount rate g): the chain's clock reaches gamma t = 5, in the mean,
+    at step k1, and the weights past it hold about e^-5 of the mass.
     """
 
     value: np.ndarray     # (K,) c_k
+    cut: int              # k1, the first step the roulette may cut
     end_lo: int           # first step of the end window
     end: np.ndarray       # P(Pois(LU) = k) for k = end_lo, end_lo + 1, ...
     value_scale: float    # r^-3: diffusion amplitude 1/r, time 1/r^2
@@ -211,6 +221,7 @@ def _chain_weights(net: RNetwork, gamma: float, horizon_scaled: float) -> _Chain
     end_lo, end = _poisson_window(rate * horizon)
     return _ChainWeights(
         value=value,
+        cut=_roulette_cut(n_steps, 1.0 / rate, g),
         end_lo=end_lo,
         end=end,
         value_scale=net.r**-3,
@@ -229,25 +240,48 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[
     """One replication's discounted cost on the uniformized jump chain
     (simulate._walk), with the holding times integrated out (_ChainWeights).
 
-    Every sum is carried left to right across the walk's blocks, so it has
-    the bits of one sum over all the steps. The end sum adds only each
+    The walk runs in full up to step k1 (_ChainWeights.cut). Past it, it
+    goes on with probability _ROULETTE_P (Russian roulette, as in
+    bcp.estimate_j_star), and its value and end sums over [k1, K) count
+    1/_ROULETTE_P times; a stopped replication walks k1 steps and reads no
+    later uniform. So the cost keeps its expectation over the draw. The
+    draw is the first double of the seed's second child (spawn key + (1,),
+    derived without advancing its spawn counter, as simulate derives its
+    clock from the first), so the chain's uniforms are the seed's own and
+    every policy meets the same draw. When k1 = K nothing is drawn or cut.
+
+    The early and the late sums are each carried left to right across the
+    walk's blocks, split at k1 inside the block that straddles it, so each
+    has the bits of one sum over its steps. The end sums add only each
     block's overlap with the end window: the terms outside it are +0.0,
     which leave a carried sum of non-negative terms as it is.
     """
     h1, h2, h3 = (float(x) for x in h)
-    value = end = 0.0
+    n_steps, cut = weights.value.shape[0], weights.cut
+    stretches = ((0, cut), (cut, n_steps))
+    if cut < n_steps:
+        roulette = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 1), pool_size=seed.pool_size)
+        if np.random.Generator(np.random.PCG64(roulette)).random() >= _ROULETTE_P:
+            n_steps = cut
+    value, end = [0.0, 0.0], [0.0, 0.0]
     start = 0
     end_lo = weights.end_lo
     end_hi = end_lo + weights.end.shape[0]
-    for path in _walk(net, policy, seed, weights.value.shape[0]):
+    for path in _walk(net, policy, seed, n_steps):
         hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
         stop = start + hq.shape[0]
-        value = _carried_sum(value, weights.value[start:stop] * hq)
-        lo, hi = max(start, end_lo), min(stop, end_hi)
-        if lo < hi:
-            end = _carried_sum(end, weights.end[lo - end_lo : hi - end_lo] * hq[lo - start : hi - start])
+        for i, (lo, hi) in enumerate(stretches):
+            lo, hi = max(start, lo), min(stop, hi)
+            if lo < hi:
+                value[i] = _carried_sum(value[i], weights.value[lo:hi] * hq[lo - start : hi - start])
+            lo, hi = max(lo, end_lo), min(hi, end_hi)
+            if lo < hi:
+                end[i] = _carried_sum(end[i], weights.end[lo - end_lo : hi - end_lo] * hq[lo - start : hi - start])
         start = stop
-    return PathCost(value * weights.value_scale, end * weights.end_scale)
+    return PathCost(
+        (value[0] + value[1] / _ROULETTE_P) * weights.value_scale,
+        (end[0] + end[1] / _ROULETTE_P) * weights.end_scale,
+    )
 
 
 @dataclass(frozen=True)

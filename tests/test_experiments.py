@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crisscross import experiments
 from crisscross.experiments import (
     _chain_cost,
     _chain_weights,
@@ -248,26 +249,58 @@ def _padded_end(weights):
     return end
 
 
-def _stepwise_chain_cost(net, policy, weights, h, seed):
+def _roulette_step(net, gamma, n):
+    """Test-only cut of the chain: k1 = min(n, ceil(5 L r^2/gamma)), the step
+    at which the chain's clock reaches gamma t = 5 in the mean, written as
+    5 over the discount per step (gamma/r^2)(1/L), as the library forms it."""
+    return min(n, math.ceil(5.0 / (gamma / net.r**2 * (1.0 / _clock_rate(net)))))
+
+
+def _second_child_double(seed):
+    """The first double of the stream of seed's second child, spawn key
+    + (1,), built without spawning."""
+    child = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 1))
+    return np.random.Generator(np.random.PCG64(child)).random()
+
+
+def _stepwise_chain_cost(net, policy, weights, h, gamma, seed):
     """Test-only oracle of _chain_cost: the stepwise chain on the same
-    uniforms, and one dot product per weight vector."""
-    x = np.random.Generator(np.random.PCG64(seed)).random(weights.value.size) * _clock_rate(net)
+    uniforms, and one dot product per weight vector and stretch. The chain
+    runs in full up to step k1 (_roulette_step); past it, only if the first
+    double of the seed's second child is below 1/8, and then its dot
+    products over the late steps count 8 times. Returns the cost and
+    whether the replication went on past k1."""
+    n = weights.value.size
+    k1 = _roulette_step(net, gamma, n)
+    going_on = k1 == n or _second_child_double(seed) < 1 / 8
+    x = np.random.Generator(np.random.PCG64(seed)).random(n if going_on else k1) * _clock_rate(net)
     q = _stepwise_chain(net, policy, x)[0][:-1]
     hq = h[0] * q[:, 0] + h[1] * q[:, 1] + h[2] * q[:, 2]
-    return weights.value @ hq * weights.value_scale, _padded_end(weights) @ hq * weights.end_scale
+    value, end = weights.value[: hq.size], _padded_end(weights)[: hq.size]
+    return (
+        (value[:k1] @ hq[:k1] + 8.0 * (value[k1:] @ hq[k1:])) * weights.value_scale,
+        (end[:k1] @ hq[:k1] + 8.0 * (end[k1:] @ hq[k1:])) * weights.end_scale,
+        going_on,
+    )
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
+    """At H = 15 the roulette cuts the chain; replications 0-3 stop at k1
+    and replication 4 goes on."""
     net = make_r_network(limits, 10.0, 1.2, 3.0)
     weights = _chain_weights(net, limits.gamma, 15.0)
-    for rep in range(3):
+    assert weights.cut == _roulette_step(net, limits.gamma, weights.value.size) < weights.value.size
+    went_on = []
+    for rep in range(5):
         seed = replication_seed(5, net.r, rep)
         value, end = _chain_cost(net, policy, weights, limits.h, seed)
-        want_value, want_end = _stepwise_chain_cost(net, policy, weights, limits.h, seed)
+        want_value, want_end, going_on = _stepwise_chain_cost(net, policy, weights, limits.h, limits.gamma, seed)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert end == pytest.approx(want_end, rel=1e-12)
+        went_on.append(going_on)
+    assert went_on == [False] * 4 + [True]
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
@@ -294,14 +327,9 @@ def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
         assert traj.epochs.tolist() == [0.0, *at[moved].tolist(), net.r * net.r * horizon_scaled]
 
 
-@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_chain_cost_is_the_mean_of_its_path_cost(limits, policy):
-    """Replication k's chain cost is the mean, given its chain, of the path
-    cost of replicate's run k, which walks that chain with drawn holding
-    times; so the per-replication differences have mean 0."""
+def _assert_chain_cost_is_the_mean_of_its_path_cost(limits, policy, horizon_scaled):
     net = make_r_network(limits, 5.0, 1.2, 3.0)
-    n_reps, horizon_scaled = 600, 2.0
+    n_reps = 600
     weights = _chain_weights(net, limits.gamma, horizon_scaled)
     diffs = np.array(
         [
@@ -312,6 +340,27 @@ def test_chain_cost_is_the_mean_of_its_path_cost(limits, policy):
     )
     mean, stderr = _mean_and_stderr(diffs)
     assert abs(mean) <= 4.0 * stderr, (mean, stderr)
+    return weights
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_chain_cost_is_the_mean_of_its_path_cost(limits, policy):
+    """Replication k's chain cost is the mean, given its chain, of the path
+    cost of replicate's run k, which walks that chain with drawn holding
+    times; so the per-replication differences have mean 0."""
+    weights = _assert_chain_cost_is_the_mean_of_its_path_cost(limits, policy, 2.0)
+    assert weights.cut == weights.value.size
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_cut_chain_cost_is_the_mean_of_its_path_cost(limits, policy):
+    """Past the cut, at H = 15, replication k's chain cost has that mean in
+    expectation over its roulette draw too, against a path cost that
+    nothing cuts."""
+    weights = _assert_chain_cost_is_the_mean_of_its_path_cost(limits, policy, 15.0)
+    assert weights.cut < weights.value.size
 
 
 def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
@@ -334,26 +383,109 @@ def test_chain_weights_give_the_arrival_1_count_its_closed_form_mean():
     assert abs(mean - exact) <= 4.0 * stderr, (mean, stderr, exact)
 
 
+def _left_to_right(terms):
+    """One left-to-right sum of terms; 0.0 when there are none."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _weighted_terms(net, policy, weights, h, seed, n_steps):
+    """The walk's first n_steps steps in one block, and each step's cost
+    times its value weight and times its end weight."""
+    (path,) = _walk(net, policy, seed, n_steps, n_steps)
+    hq = h[0] * path[BUFFER1][:-1] + h[1] * path[BUFFER2][:-1] + h[2] * path[BUFFER3][:-1]
+    return weights.value[:n_steps] * hq, _padded_end(weights)[:n_steps] * hq
+
+
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_chain_cost_is_one_left_to_right_sum_over_all_steps(policy):
-    """_chain_cost carries its sums across the walk's blocks, so its bits
-    are those of one left-to-right sum of weight times cost over all the
-    steps, here more than two blocks of them; the end sum too, though it
-    adds only the end window's steps."""
+def test_chain_cost_is_two_left_to_right_sums_split_at_the_cut(policy):
+    """_chain_cost carries its early and late sums across the walk's
+    blocks, split at k1 inside the first block here, so its bits are those
+    of one left-to-right sum of weight times cost over [0, k1) and one over
+    [k1, K), here more than two blocks of steps; the end sums too, though
+    they add only the end window's steps. Replication 0 goes on past k1
+    and replication 1 stops there."""
     net = make_r_network(ASYMMETRIC_DRIFTED, 20.0, 1.2, 3.0)
     weights = _chain_weights(net, ASYMMETRIC_DRIFTED.gamma, 15.0)
+    n, k1 = weights.value.size, weights.cut
+    assert n > 2 * _CHAIN_BLOCK and 0 < k1 < _CHAIN_BLOCK
+    for rep, going_on in ((0, True), (1, False)):
+        seed = replication_seed(3, 20.0, rep)
+        assert (_second_child_double(seed) < 1 / 8) == going_on
+        value, end = _weighted_terms(net, policy, weights, ASYMMETRIC_DRIFTED.h, seed, n if going_on else k1)
+        want = (
+            (_left_to_right(value[:k1]) + _left_to_right(value[k1:]) / 0.125) * weights.value_scale,
+            (_left_to_right(end[:k1]) + _left_to_right(end[k1:]) / 0.125) * weights.end_scale,
+        )
+        got = _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, seed)
+        assert [x.hex() for x in got] == [x.hex() for x in want], rep
+
+
+@pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("r, horizon_scaled", [(5.0, 0.3), (5.0, 2.0), (40.0, 4.0)])
+def test_a_chain_the_cut_does_not_reach_is_the_uncut_sum(limits, policy, r, horizon_scaled):
+    """When the chain's K steps end by k1, as at these horizons below
+    5/gamma, nothing is drawn or cut: the cost has the bits of one
+    left-to-right sum over all K steps per weight vector, the uncut cost."""
+    net = make_r_network(limits, r, 1.2, 3.0)
+    weights = _chain_weights(net, limits.gamma, horizon_scaled)
     n = weights.value.size
-    assert n > 2 * _CHAIN_BLOCK
-    seed = replication_seed(3, 20.0, 0)
-    (path,) = _walk(net, policy, seed, n, n)
-    h1, h2, h3 = ASYMMETRIC_DRIFTED.h
-    hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
-    want = (
-        float(np.cumsum(weights.value * hq)[-1]) * weights.value_scale,
-        float(np.cumsum(_padded_end(weights) * hq)[-1]) * weights.end_scale,
-    )
-    got = _chain_cost(net, policy, weights, ASYMMETRIC_DRIFTED.h, seed)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert weights.cut == n == _roulette_step(net, limits.gamma, n)
+    for rep in range(3):
+        seed = replication_seed(9, r, rep)
+        value, end = _weighted_terms(net, policy, weights, limits.h, seed, n)
+        want = (_left_to_right(value) * weights.value_scale, _left_to_right(end) * weights.end_scale)
+        got = _chain_cost(net, policy, weights, limits.h, seed)
+        assert [x.hex() for x in got] == [x.hex() for x in want], rep
+
+
+def _walked_steps(monkeypatch):
+    """Record, per call of _chain_cost's walk, how many uniforms it read:
+    _walk draws one per step it yields."""
+    walked = []
+    real_walk = experiments._walk
+
+    def counting_walk(*args, **kwargs):
+        walked.append(0)
+        for path in real_walk(*args, **kwargs):
+            walked[-1] += path[BUFFER1].size - 1
+            yield path
+
+    monkeypatch.setattr(experiments, "_walk", counting_walk)
+    return walked
+
+
+def test_a_stopped_replication_reads_exactly_k1_chain_uniforms(monkeypatch):
+    """A replication the roulette stops walks k1 steps, so it reads k1
+    uniforms of its stream and no later one; one that goes on reads K."""
+    walked = _walked_steps(monkeypatch)
+    net = make_r_network(LIMITS, 10.0, 1.2, 3.0)
+    weights = _chain_weights(net, LIMITS.gamma, 15.0)
+    for rep in range(5):
+        _chain_cost(net, "threshold", weights, LIMITS.h, replication_seed(5, net.r, rep))
+    assert walked == [weights.cut] * 4 + [weights.value.size]
+
+
+def test_the_roulette_draw_is_the_keys_second_child(monkeypatch):
+    """The draw that decides whether a replication goes on past k1 is the
+    first double of the key's second child (spawn key + (1,)): a stream
+    apart from the chain's uniforms and from simulate's clock, the first
+    child, and the same for every policy of a cell."""
+    walked = _walked_steps(monkeypatch)
+    net = make_r_network(LIMITS, 40.0, 1.2, 3.0)
+    weights = _chain_weights(net, LIMITS.gamma, 15.0)
+    seeds = [replication_seed(0, net.r, rep) for rep in range(24)]
+    draws = [_second_child_double(seed) for seed in seeds]
+    want = [d < 1 / 8 for d in draws]
+    assert 0 < sum(want) < len(want)
+    for policy in POLICY_NAMES:
+        walked.clear()
+        for seed in seeds:
+            _chain_cost(net, policy, weights, LIMITS.h, seed)
+        assert [steps == weights.value.size for steps in walked] == want, policy
+    for seed, draw in zip(seeds, draws):
+        assert draw != np.random.Generator(np.random.PCG64(seed.spawn(1)[0])).random()
+        assert draw != np.random.Generator(np.random.PCG64(seed)).random()
 
 
 def _assert_chain_step_walks_its_oracle(limits, r, policy):
