@@ -98,8 +98,8 @@ class RbmPath:
 
     workload[k] = netput workload + pushing[k] >= 0 with pushing nondecreasing
     from 0 (the minimal amount of idleness needed to keep workloads
-    nonnegative). netput holds the free three-dimensional path when the
-    simulation kept it.
+    nonnegative). netput holds the free three-dimensional path; simulate_rbm
+    always keeps it, and admissibility_audit refuses a path without it.
     """
 
     times: np.ndarray            # (n+1,)
@@ -234,9 +234,13 @@ def _tail_bound(gamma: float, horizon: float, coeff: np.ndarray, sigma: np.ndarr
     return math.exp(-g * T) * total
 
 
-def _discount_weights(gamma: float, n_steps: int, dt: float) -> np.ndarray:
-    t = np.arange(n_steps + 1) * dt
-    return (np.exp(-gamma * t[:-1]) - np.exp(-gamma * t[1:])) / gamma
+def _discount_weights(gamma: float, t: np.ndarray) -> np.ndarray:
+    """The weights (e^(-gamma t_k) - e^(-gamma t_k+1)) / gamma of a state held
+    over [t_k, t_k+1), for each of the n steps of the n + 1 times t: its
+    discounted integral is the state times its weight, with no quadrature
+    error. discounted_cost and estimate_j_star both read these weights."""
+    decay = np.exp(-gamma * t)
+    return (decay[:-1] - decay[1:]) / gamma
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -390,7 +394,8 @@ def estimate_j_star(
     pdrift, pcov, pchol = _workload_projection(bm, WorkloadMatrix(limits.mu).array)
     step_var = np.diag(pcov) * dt
     corr = math.sqrt(dt) * pchol
-    wts = _discount_weights(gamma, n, dt)
+    grid = np.arange(n + 1) * dt
+    wts = _discount_weights(gamma, grid)
     drift_dt = (pdrift * dt)[:, None]
     two_var = (2.0 * step_var)[:, None]
 
@@ -500,7 +505,7 @@ def estimate_j_star(
         # Bridge minima make W exact in law at the grid points, so the
         # workload integrals' exact means on the grid control the cost;
         # the free kink's grid mean is exact with or without them.
-        t = np.arange(n) * dt
+        t = grid[:-1]
         means = [np.add.reduce(wts * _reflected_mean(d, sd, t)) for d, sd in zip(pdrift, sigma)]
         means.append(np.add.reduce(wts * _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t)))
         summaries[0] = _control_variate_summary(samples[0], samples[1:], np.array(means))

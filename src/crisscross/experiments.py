@@ -12,10 +12,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bcp import _ROULETTE_P, CostEstimate, _mc_summary, _roulette_cut, estimate_j_star
+from .bcp import _ROULETTE_P, CostEstimate, _discount_weights, _mc_summary, _roulette_cut, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
 from .policies import BUFFER1, BUFFER2, BUFFER3, _require_policy
-from .simulate import ScaledTrajectory, Trajectory, _clock_rate, _walk, event_budget, simulate
+from .simulate import ScaledTrajectory, Trajectory, _child, _clock_rate, _walk, event_budget, simulate
 
 __all__ = [
     "PathCost",
@@ -54,17 +54,20 @@ def discounted_cost(scaled: ScaledTrajectory, h: Sequence[float], gamma: float) 
     The queue vector is piecewise constant between epochs, so the integral is
     a finite sum of exponential weights; no quadrature error. The tail term
     reports what the final state would contribute if held beyond the horizon.
+    The weights are bcp._discount_weights on the epochs, added up pairwise
+    and not by BLAS, so no bit depends on the BLAS thread count.
     """
-    if not (gamma > 0.0):
-        raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
-    hq = scaled.queues @ np.asarray(h, dtype=float)
-    t = scaled.times
-    if t.shape[0] == 1:
-        return PathCost(0.0, float(hq[0] / gamma))
-    decay = np.exp(-gamma * t)
-    value = float(hq[:-1] @ (decay[:-1] - decay[1:]) / gamma)
-    tail = float(decay[-1] * hq[-1] / gamma)
+    _require_discount_rate(gamma)
+    h1, h2, h3 = (float(x) for x in h)
+    hq = h1 * scaled.queues[:, 0] + h2 * scaled.queues[:, 1] + h3 * scaled.queues[:, 2]
+    value = float(np.add.reduce(hq[:-1] * _discount_weights(gamma, scaled.times)))
+    tail = float(np.exp(-gamma * scaled.times[-1]) * hq[-1] / gamma)
     return PathCost(value, tail)
+
+
+def _require_discount_rate(gamma: float) -> None:
+    if not (0.0 < gamma < math.inf):
+        raise ValueError(f"discount rate gamma = {gamma!r} must be finite and > 0")
 
 
 def _float_key(x: float) -> int:
@@ -136,8 +139,7 @@ def estimate_cost(
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
     if not (horizon_scaled > 0.0):
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
-    if not (gamma > 0.0):
-        raise ValueError(f"discount rate gamma = {gamma!r} must be > 0")
+    _require_discount_rate(gamma)
     _require_policy(policy, net)
     weights = _chain_weights(net, gamma, horizon_scaled)
 
@@ -245,10 +247,10 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[
     bcp.estimate_j_star), and its value and end sums over [k1, K) count
     1/_ROULETTE_P times; a stopped replication walks k1 steps and reads no
     later uniform. So the cost keeps its expectation over the draw. The
-    draw is the first double of the seed's second child (spawn key + (1,),
-    derived without advancing its spawn counter, as simulate derives its
-    clock from the first), so the chain's uniforms are the seed's own and
-    every policy meets the same draw. When k1 = K nothing is drawn or cut.
+    draw is the first double of the seed's child 1 (simulate._child; the
+    clock of simulate is child 0), so the chain's uniforms are the seed's
+    own and every policy meets the same draw. When k1 = K nothing is drawn
+    or cut.
 
     The early and the late sums are each carried left to right across the
     walk's blocks, split at k1 inside the block that straddles it, so each
@@ -260,8 +262,7 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[
     n_steps, cut = weights.value.shape[0], weights.cut
     stretches = ((0, cut), (cut, n_steps))
     if cut < n_steps:
-        roulette = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 1), pool_size=seed.pool_size)
-        if np.random.Generator(np.random.PCG64(roulette)).random() >= _ROULETTE_P:
+        if np.random.Generator(np.random.PCG64(_child(seed, 1))).random() >= _ROULETTE_P:
             n_steps = cut
     value, end = [0.0, 0.0], [0.0, 0.0]
     start = 0

@@ -280,6 +280,14 @@ def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: float, block: int
         yield path
 
 
+def _child(seed: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """seed's child index (spawn key + (index,)), derived without advancing
+    seed's spawn counter, so it is the same on every call. A replication's
+    clock (simulate) is child 0 and its roulette draw
+    (experiments._chain_cost) child 1; the chain's uniforms are seed's own."""
+    return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, index), pool_size=seed.pool_size)
+
+
 def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Trajectory:
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
@@ -287,9 +295,9 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     ValueError before anything is drawn. The run walks the uniformized
     jump chain on seed's stream (_walk), as experiments._chain_cost does,
     and holds each state for an Exp(L) time from a second stream, seed's
-    first child (derived without advancing seed's spawn counter). A row is
-    kept for the empty state, for each step that moves a queue by the
-    horizon, and for the horizon; fictitious steps only pass time.
+    child 0 (_child). A row is kept for the empty state, for each step that
+    moves a queue by the horizon, and for the horizon; fictitious steps
+    only pass time.
 
     Server 1's activity is policies._server1's, in one pass over the rows.
     Server 2's is buffer 3 whenever it is nonempty, by the policies
@@ -304,8 +312,7 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     _require_policy(policy, net)
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    clock_seed = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
-    clock = np.random.Generator(np.random.PCG64(clock_seed))
+    clock = np.random.Generator(np.random.PCG64(_child(ss, 0)))
     mean_hold = 1.0 / _clock_rate(net)
     # Blocks that mostly cover a run of the estimated length in one pass.
     block = min(_CHAIN_BLOCK, math.ceil(events + 4.0 * math.sqrt(events)) + 1)

@@ -260,7 +260,7 @@ def _vectorized_j_star_samples(limits, dt, horizon, n_paths, seed, bridge_minima
     pdrift, pcov, pchol = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
     two_var = 2.0 * np.diag(pcov) * dt
     corr = math.sqrt(dt) * pchol
-    wts = bcp._discount_weights(limits.gamma, n, dt)
+    wts = bcp._discount_weights(limits.gamma, np.arange(n + 1) * dt)
     samples = np.empty((4, n_paths))
     going_on = []
     for start in range(0, n_paths, chunk):
@@ -362,7 +362,7 @@ def _grid_means(limits, dt, horizon):
     pdrift, pcov, _ = bcp._workload_projection(LimitBm.from_limits(limits), WorkloadMatrix(limits.mu).array)
     heavy3, heavy1 = effective_cost_coefficients(limits.mu, limits.h)
     ell = np.subtract(heavy3, heavy1)
-    wts = bcp._discount_weights(limits.gamma, n, dt)
+    wts = bcp._discount_weights(limits.gamma, np.arange(n + 1) * dt)
     t = np.arange(n) * dt
     means = [np.add.reduce(wts * bcp._reflected_mean(d, s, t)) for d, s in zip(pdrift, np.sqrt(np.diag(pcov)))]
     means.append(np.add.reduce(wts * bcp._folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t)))
@@ -428,10 +428,11 @@ def test_the_cut_paths_keep_the_marginals_at_their_exact_grid_means(limits):
 
 
 def test_the_estimate_does_not_depend_on_the_blas_thread_count():
-    """The exact grid means of the controls and the residual sum of squares
-    are pairwise sums, not BLAS dots, which OpenBLAS splits across threads
-    on rows over 10,000 floats: a 15,000-step pass, and the combiner over
-    100,000 samples, give the same bits with 1 and 2 BLAS threads."""
+    """The exact grid means of the controls, the residual sum of squares and
+    discounted_cost's value are pairwise sums, not BLAS dots, which OpenBLAS
+    splits across threads on rows over 10,000 floats: a 15,000-step pass,
+    the combiner over 100,000 samples, and the discounted cost of a
+    118,618-row replication give the same bits with 1 and 2 BLAS threads."""
     src = str(Path(bcp.__file__).resolve().parent.parent)
     code = (
         "import numpy as np\n"
@@ -444,6 +445,11 @@ def test_the_estimate_does_not_depend_on_the_blas_thread_count():
         "controls = gen.exponential(size=(3, 100_000))\n"
         "cost = 2.0 * controls[0] - 0.5 * controls[1] + 0.3 * controls[2] + 0.3 * gen.standard_normal(100_000)\n"
         "print(*(v.hex() for v in _control_variate_summary(cost, controls, np.ones(3))))\n"
+        "from crisscross import discounted_cost, diffusion_scale, make_r_network, replicate\n"
+        "limits = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)\n"
+        "net = make_r_network(limits, 40, 1.2, 3)\n"
+        "path = diffusion_scale(replicate(net, 'priority1', 15.0, 3, 1), net)\n"
+        "print(path.times.shape[0], discounted_cost(path, limits.h, limits.gamma).value.hex())\n"
     )
     outs = []
     for threads in ("1", "2"):

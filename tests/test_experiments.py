@@ -87,8 +87,9 @@ def test_discounted_cost_of_a_single_epoch_is_all_tail():
 
 def test_discounted_cost_requires_a_positive_rate():
     path = _constant_queue_path([0.0], [[0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        discounted_cost(path, (1.0, 1.0, 1.0), 0.0)
+    for gamma in (0.0, math.inf):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            discounted_cost(path, (1.0, 1.0, 1.0), gamma)
 
 
 def test_replication_streams_are_stable_and_distinct():
@@ -124,8 +125,9 @@ def test_estimate_cost_argument_checks():
         estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.5, 0, seed=0)
     with pytest.raises(ValueError):
         estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.0, 2, seed=0)
-    with pytest.raises(ValueError, match="discount rate"):
-        estimate_cost(net, "threshold", 0.0, LIMITS.h, 0.5, 2, seed=0)
+    for gamma in (0.0, math.inf):
+        with pytest.raises(ValueError, match="discount rate gamma = .* must be finite and > 0"):
+            estimate_cost(net, "threshold", gamma, LIMITS.h, 0.5, 2, seed=0)
 
 
 def test_a_policy_is_a_name():
