@@ -20,9 +20,9 @@ import numpy as np
 
 from .bcp import CostEstimate, estimate_j_star
 from .experiments import DiagnosticsReport, DiscountedCostRun, LdCheckRow, convergence_sweep, ld_check, reference_seed, replicate, run_diagnostics
-from .params import Config, ConfigError, ThresholdConstants, compute_threshold_constants, is_seed, load_config, make_r_network
+from .params import Config, ConfigError, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, load_config, make_r_network
 from .policies import POLICY_NAMES
-from .simulate import SCALES, ScaledTrajectory, diffusion_scale, write_scaled_csv
+from .simulate import SCALES, ScaledTrajectory, Trajectory, diffusion_scale, write_scaled_csv
 
 __all__ = ["main"]
 
@@ -54,10 +54,11 @@ def _pairs(record, names: list[str]) -> str:
     return " ".join(f"{name}={cell}" for name, cell in zip(names, _cells(record, names)))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to a JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
+def _replication(cfg: Config, args) -> tuple[RNetwork, Trajectory]:
+    """The network of --r and its replication --rep under --policy."""
+    net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
+    horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
+    return net, replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,54 +76,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyse the two-server crisscross network under logarithmic-threshold control.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments of every subcommand, and those of one replication.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a JSON config file")
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
+    replication = argparse.ArgumentParser(add_help=False)
+    replication.add_argument("--r", type=float, required=True, help="scaling parameter of the network to simulate")
+    replication.add_argument("--policy", choices=POLICY_NAMES, default="threshold")
+    replication.add_argument("--horizon-scaled", type=float, default=None, help="scaled horizon (default: config horizon)")
+    replication.add_argument("--rep", type=int, default=0, help="replication index (selects the random substream)")
 
-    p = sub.add_parser("simulate", help="run one trajectory and write it as CSV")
-    _add_common(p)
-    p.add_argument("--r", type=float, required=True, help="scaling parameter of the network to simulate")
-    p.add_argument("--policy", choices=POLICY_NAMES, default="threshold")
-    p.add_argument("--horizon-scaled", type=float, default=None, help="scaled horizon (default: config horizon)")
+    p = sub.add_parser("simulate", parents=[common, replication], help="run one trajectory and write it as CSV")
     p.add_argument("--scale", choices=SCALES, default="raw")
-    p.add_argument("--rep", type=int, default=0, help="replication index (selects the random substream)")
 
-    p = sub.add_parser("bcp", help="estimate the Brownian reference cost and workload marginals")
-    _add_common(p)
+    p = sub.add_parser("bcp", parents=[common], help="estimate the Brownian reference cost and workload marginals")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--horizon", type=float, default=None, help="time horizon (default: 15 / gamma)")
     p.add_argument("--no-bridge", action="store_true", help="reflect off raw grid minima instead of bridge minima")
 
-    p = sub.add_parser("converge", help="sweep the r-family and compare with the Brownian reference")
-    _add_common(p)
+    p = sub.add_parser("converge", parents=[common], help="sweep the r-family and compare with the Brownian reference")
     p.add_argument("--policies", default="threshold", help="comma-separated policy names")
     p.add_argument("--bcp-dt", type=float, default=1e-3)
     p.add_argument("--bcp-paths", type=int, default=100_000)
 
-    p = sub.add_parser("thresholds", help="print the threshold constants and per-r threshold pairs")
-    _add_common(p)
+    sub.add_parser("thresholds", parents=[common], help="print the threshold constants and per-r threshold pairs")
 
-    p = sub.add_parser("ld-check", help="compare empirical Poisson tails with the exponential bound")
-    _add_common(p)
+    p = sub.add_parser("ld-check", parents=[common], help="compare empirical Poisson tails with the exponential bound")
     p.add_argument("--rate", type=float, default=None, help="Poisson rate (default: first arrival rate)")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--t-grid", default="10,25,50", help="comma-separated window lengths")
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("diagnostics", help="state-space-collapse diagnostics for one trajectory")
-    _add_common(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="threshold")
-    p.add_argument("--horizon-scaled", type=float, default=None)
+    p = sub.add_parser("diagnostics", parents=[common, replication], help="state-space-collapse diagnostics for one trajectory")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--d", type=float, default=None, help="idleness guard level (default: theoretical constant)")
-    p.add_argument("--rep", type=int, default=0)
 
     return parser
 
 
 def _cmd_simulate(cfg: Config, args, fh) -> None:
-    net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
-    horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
-    traj = replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
+    net, traj = _replication(cfg, args)
     write_scaled_csv(ScaledTrajectory(traj, net, args.scale), fh)
 
 
@@ -176,9 +171,7 @@ def _cmd_ld_check(cfg: Config, args, fh) -> None:
 
 def _cmd_diagnostics(cfg: Config, args, fh) -> None:
     constants = compute_threshold_constants(cfg.limits)
-    net = make_r_network(cfg.limits, args.r, cfg.ell0, cfg.c)
-    horizon_scaled = cfg.horizon if args.horizon_scaled is None else args.horizon_scaled
-    traj = replicate(net, args.policy, horizon_scaled, cfg.seed, args.rep)
+    net, traj = _replication(cfg, args)
     report = run_diagnostics(diffusion_scale(traj, net), net, constants, d=args.d, t_end=args.t_end)
     fh.write("key,value\n")
     for key in _names(DiagnosticsReport):

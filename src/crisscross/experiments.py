@@ -57,17 +57,26 @@ def discounted_cost(scaled: ScaledTrajectory, h: Sequence[float], gamma: float) 
     The weights are bcp._discount_weights on the epochs, added up pairwise
     and not by BLAS, so no bit depends on the BLAS thread count.
     """
-    _require_discount_rate(gamma)
-    h1, h2, h3 = (float(x) for x in h)
+    h1, h2, h3 = _cost_rates(gamma, h)
     hq = h1 * scaled.queues[:, 0] + h2 * scaled.queues[:, 1] + h3 * scaled.queues[:, 2]
     value = float(np.add.reduce(hq[:-1] * _discount_weights(gamma, scaled.times)))
     tail = float(np.exp(-gamma * scaled.times[-1]) * hq[-1] / gamma)
     return PathCost(value, tail)
 
 
-def _require_discount_rate(gamma: float) -> None:
+def _cost_rates(gamma: float, h: Sequence[float]) -> tuple[float, float, float]:
+    """The holding costs h as three floats, once the discount rate gamma is
+    finite and > 0 and h is three finite numbers >= 0; ValueError names the
+    one that is not."""
     if not (0.0 < gamma < math.inf):
         raise ValueError(f"discount rate gamma = {gamma!r} must be finite and > 0")
+    try:
+        costs = tuple(float(x) for x in h)
+    except (TypeError, ValueError):
+        costs = ()
+    if len(costs) != 3 or not all(0.0 <= x < math.inf for x in costs):
+        raise ValueError(f"holding costs h = {h!r} must be three finite numbers >= 0")
+    return costs
 
 
 def _float_key(x: float) -> int:
@@ -139,7 +148,7 @@ def estimate_cost(
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
     if not (horizon_scaled > 0.0):
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
-    _require_discount_rate(gamma)
+    h = _cost_rates(gamma, h)
     _require_policy(policy, net)
     weights = _chain_weights(net, gamma, horizon_scaled)
 
@@ -238,7 +247,7 @@ def _carried_sum(carry: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[float], seed: np.random.SeedSequence) -> PathCost:
+def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: tuple[float, float, float], seed: np.random.SeedSequence) -> PathCost:
     """One replication's discounted cost on the uniformized jump chain
     (simulate._walk), with the holding times integrated out (_ChainWeights).
 
@@ -258,17 +267,16 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[
     block's overlap with the end window: the terms outside it are +0.0,
     which leave a carried sum of non-negative terms as it is.
     """
-    h1, h2, h3 = (float(x) for x in h)
+    h1, h2, h3 = h
     n_steps, cut = weights.value.shape[0], weights.cut
     stretches = ((0, cut), (cut, n_steps))
     if cut < n_steps:
         if np.random.Generator(np.random.PCG64(_child(seed, 1))).random() >= _ROULETTE_P:
             n_steps = cut
     value, end = [0.0, 0.0], [0.0, 0.0]
-    start = 0
     end_lo = weights.end_lo
     end_hi = end_lo + weights.end.shape[0]
-    for path in _walk(net, policy, seed, n_steps):
+    for start, path in _walk(net, policy, seed, n_steps):
         hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
         stop = start + hq.shape[0]
         for i, (lo, hi) in enumerate(stretches):
@@ -278,7 +286,6 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: Sequence[
             lo, hi = max(lo, end_lo), min(hi, end_hi)
             if lo < hi:
                 end[i] = _carried_sum(end[i], weights.end[lo - end_lo : hi - end_lo] * hq[lo - start : hi - start])
-        start = stop
     return PathCost(
         (value[0] + value[1] / _ROULETTE_P) * weights.value_scale,
         (end[0] + end[1] / _ROULETTE_P) * weights.end_scale,
@@ -386,7 +393,7 @@ def run_diagnostics(
         raise ValueError(f"idleness guard level d = {d!r} must be finite and >= 0")
     r = scaled.r
     times = scaled.times
-    in_window = times[:-1] < t_end if times.shape[0] > 1 else np.zeros(0, dtype=bool)
+    in_window = times[:-1] < t_end
 
     q1 = scaled.queues[:, 0]
     q3 = scaled.queues[:, 2]
@@ -405,14 +412,12 @@ def run_diagnostics(
     collapse_level = kappa * (net.threshold_high - net.threshold_low + 1) / r
     idle_level = d * net.ell0 * math.log(r) / r
 
-    idle_mass = 0.0
-    if times.shape[0] > 1:
-        d_idle = np.diff(scaled.idle[:, 1])
-        span = np.diff(times)
-        # Prorate the interval straddling t_end; idleness accrues linearly.
-        frac = np.clip((t_end - times[:-1]) / span, 0.0, 1.0)
-        hot = scaled.queues[:-1, 1] >= idle_level
-        idle_mass = float((d_idle * frac * hot)[in_window].sum())
+    d_idle = np.diff(scaled.idle[:, 1])
+    span = np.diff(times)
+    # Prorate the interval straddling t_end; idleness accrues linearly.
+    frac = np.clip((t_end - times[:-1]) / span, 0.0, 1.0)
+    hot = scaled.queues[:-1, 1] >= idle_level
+    idle_mass = float((d_idle * frac * hot)[in_window].sum())
 
     return DiagnosticsReport(
         r=r,

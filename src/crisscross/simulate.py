@@ -256,28 +256,26 @@ def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) ->
     return path
 
 
-def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: float, block: int = _CHAIN_BLOCK) -> Iterator[dict[int, np.ndarray]]:
-    """The uniformized jump chain of net under policy from the empty state,
-    as _chain_step's paths over consecutive blocks of at most block steps,
-    n_steps in all (math.inf: until the caller stops).
+def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: int) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
+    """The first n_steps steps of the uniformized jump chain of net under
+    policy from the empty state, as (start, path): _chain_step's paths over
+    consecutive blocks of at most _CHAIN_BLOCK steps, start the index of a
+    block's first step.
 
     This is the one definition of the chain's stream: its uniforms are
     PCG64(seed)'s doubles in order, one per step, scaled to [0, L), and each
     block starts from the queues the previous one ended in. Both walks read
     it: simulate with Exp(L) holding times, experiments._chain_cost with
     them integrated out. The uniforms are one stream, so the chain does not
-    depend on block.
+    depend on _CHAIN_BLOCK.
     """
     rate = _clock_rate(net)
     uniforms = np.random.Generator(np.random.PCG64(seed))
     q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
-    done = 0
-    while done < n_steps:
-        size = min(block, n_steps - done)
-        path = _chain_step(net, policy, q, uniforms.random(size) * rate)
+    for start in range(0, n_steps, _CHAIN_BLOCK):
+        path = _chain_step(net, policy, q, uniforms.random(min(_CHAIN_BLOCK, n_steps - start)) * rate)
         q = {b: int(p[-1]) for b, p in path.items()}
-        done += size
-        yield path
+        yield start, path
 
 
 def _child(seed: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
@@ -292,11 +290,12 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     """Run the network from the empty state over [0, horizon] (unscaled time).
 
     policy is a name in POLICY_NAMES, or simulate raises a
-    ValueError before anything is drawn. The run walks the uniformized
-    jump chain on seed's stream (_walk), as experiments._chain_cost does,
-    and holds each state for an Exp(L) time from a second stream, seed's
-    child 0 (_child). A row is kept for the empty state, for each step that
-    moves a queue by the horizon, and for the horizon; fictitious steps
+    ValueError before anything is drawn. The run draws its clock first:
+    Exp(L) holding times from seed's child 0 (_child), until an epoch
+    passes the horizon. It then walks exactly the steps by the horizon of
+    the uniformized jump chain on seed's stream (_walk), as
+    experiments._chain_cost does. A row is kept for the empty state, for
+    each step that moves a queue, and for the horizon; fictitious steps
     only pass time.
 
     Server 1's activity is policies._server1's, in one pass over the rows.
@@ -314,25 +313,27 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     clock = np.random.Generator(np.random.PCG64(_child(ss, 0)))
     mean_hold = 1.0 / _clock_rate(net)
-    # Blocks that mostly cover a run of the estimated length in one pass.
-    block = min(_CHAIN_BLOCK, math.ceil(events + 4.0 * math.sqrt(events)) + 1)
-
-    t = 0.0
-    epochs, queues = [np.zeros(1)], [np.zeros((1, 3), dtype=np.int64)]
-    for path in _walk(net, policy, ss, math.inf, block):
-        hold = clock.exponential(mean_hold, block)
+    # The clock first: each step's epoch, carried left to right across chunks
+    # that mostly cover a run of the estimated length in one draw, until one
+    # passes the horizon.
+    chunk = min(_CHAIN_BLOCK, math.ceil(events + 4.0 * math.sqrt(events)) + 1)
+    at, reached = [], 0.0
+    while reached <= horizon:
+        hold = clock.exponential(mean_hold, chunk)
         while not hold.all():  # an exact 0 has probability ~2^-53; dropping it keeps the law
-            hold = np.append(hold[hold > 0.0], clock.exponential(mean_hold, block - np.count_nonzero(hold)))
-        hold[0] += t
-        at = np.cumsum(hold)  # each step's epoch, carried left to right across blocks
+            hold = np.append(hold[hold > 0.0], clock.exponential(mean_hold, chunk - np.count_nonzero(hold)))
+        hold[0] += reached
+        at.append(np.cumsum(hold))
+        reached = float(at[-1][-1])
+    at = np.concatenate(at)
+    n_steps = int(np.searchsorted(at, horizon, side="right"))  # the steps by the horizon
+
+    epochs, queues = [np.zeros(1)], [np.zeros((1, 3), dtype=np.int64)]
+    for start, path in _walk(net, policy, ss, n_steps):
         p1, p2, p3 = path[BUFFER1], path[BUFFER2], path[BUFFER3]
         moved = (p1[1:] != p1[:-1]) | (p2[1:] != p2[:-1]) | (p3[1:] != p3[:-1])
-        kept = moved & (at <= horizon)
-        epochs.append(at[kept])
-        queues.append(np.stack([p1[1:][kept], p2[1:][kept], p3[1:][kept]], axis=1))
-        t = float(at[-1])
-        if t > horizon:
-            break
+        epochs.append(at[start : start + moved.size][moved])
+        queues.append(np.stack([p1[1:][moved], p2[1:][moved], p3[1:][moved]], axis=1))
     # A terminal row holds the last state at the horizon, unless a step fell on it.
     last = [k for k, piece in enumerate(epochs) if piece.size][-1]
     if epochs[last][-1] < horizon:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import tracemalloc
 
@@ -37,6 +38,9 @@ from crisscross.simulate import (
     fluid_scale,
     simulate,
 )
+
+# The module, not the function the package exports under its name.
+simulate_module = importlib.import_module("crisscross.simulate")
 
 LIMITS = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
 ASYMMETRIC_DRIFTED = NetworkLimits(
@@ -85,11 +89,18 @@ def test_discounted_cost_of_a_single_epoch_is_all_tail():
     assert cost.tail == 2.0
 
 
-def test_discounted_cost_requires_a_positive_rate():
+# Holding costs that are not three finite numbers >= 0.
+_BAD_H = [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), None]
+
+
+def test_discounted_cost_argument_checks():
     path = _constant_queue_path([0.0], [[0.0, 0.0, 0.0]])
     for gamma in (0.0, math.inf):
         with pytest.raises(ValueError, match="must be finite and > 0"):
             discounted_cost(path, (1.0, 1.0, 1.0), gamma)
+    for h in _BAD_H:
+        with pytest.raises(ValueError, match="holding costs h = .* must be three finite numbers >= 0"):
+            discounted_cost(path, h, 1.0)
 
 
 def test_replication_streams_are_stable_and_distinct():
@@ -128,6 +139,9 @@ def test_estimate_cost_argument_checks():
     for gamma in (0.0, math.inf):
         with pytest.raises(ValueError, match="discount rate gamma = .* must be finite and > 0"):
             estimate_cost(net, "threshold", gamma, LIMITS.h, 0.5, 2, seed=0)
+    for h in _BAD_H:
+        with pytest.raises(ValueError, match="holding costs h = .* must be three finite numbers >= 0"):
+            estimate_cost(net, "threshold", 1.0, h, 0.5, 2, seed=0)
 
 
 def test_a_policy_is_a_name():
@@ -307,11 +321,12 @@ def test_chain_cost_matches_its_stepwise_oracle(limits, policy):
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
+def test_a_replication_walks_the_chain_of_its_cost(limits, policy, monkeypatch):
     """replicate's rows are the stepwise oracle's states on the uniforms
     that _chain_cost reads, with the fictitious steps dropped and the run
     cut at the horizon; its epochs sum Exp(L) holding times drawn from the
-    key's first child. The longest run takes two blocks."""
+    key's first child. The longest run takes two blocks of the walk and
+    two chunks of the clock, or 20-29 of each in blocks of 1000 steps."""
     net = make_r_network(limits, 10.0, 1.2, 3.0)
     rate = _clock_rate(net)
     for rep, horizon_scaled in enumerate((0.5, 2.0, 40.0)):
@@ -324,9 +339,37 @@ def test_a_replication_walks_the_chain_of_its_cost(limits, policy):
         assert cut < n
         walk = states[: cut + 1]
         moved = np.flatnonzero((np.diff(walk, axis=0) != 0).any(axis=1))
-        traj = replicate(net, policy, horizon_scaled, 5, rep)
-        assert traj.queues.tolist() == [walk[0].tolist(), *walk[moved + 1].tolist(), walk[-1].tolist()]
-        assert traj.epochs.tolist() == [0.0, *at[moved].tolist(), net.r * net.r * horizon_scaled]
+        for block in (_CHAIN_BLOCK, 1000):
+            monkeypatch.setattr(simulate_module, "_CHAIN_BLOCK", block)
+            traj = replicate(net, policy, horizon_scaled, 5, rep)
+            assert traj.queues.tolist() == [walk[0].tolist(), *walk[moved + 1].tolist(), walk[-1].tolist()], block
+            assert traj.epochs.tolist() == [0.0, *at[moved].tolist(), net.r * net.r * horizon_scaled], block
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("r, horizon_scaled", [(5.0, 0.2), (40.0, 15.0)])
+def test_simulate_walks_exactly_the_steps_its_clock_puts_by_the_horizon(policy, r, horizon_scaled, monkeypatch):
+    """A run walks the chain's steps whose epochs, the cumulative Exp(L)
+    holding times of the key's first child, are by the horizon, and no
+    further step: a short run of a few dozen steps, and one of about
+    120,000 over several blocks."""
+    walked = []
+    real_step = simulate_module._chain_step
+
+    def counting_step(net, policy, q, x):
+        walked[-1] += x.size
+        return real_step(net, policy, q, x)
+
+    monkeypatch.setattr(simulate_module, "_chain_step", counting_step)
+    net = make_r_network(LIMITS, r, 1.2, 3.0)
+    rate, horizon = _clock_rate(net), r * r * horizon_scaled
+    for rep in range(4):
+        seed = replication_seed(2, r, rep)
+        at = np.cumsum(np.random.Generator(np.random.PCG64(seed.spawn(1)[0])).exponential(1.0 / rate, int(2 * rate * horizon) + 100))
+        assert at[-1] > horizon
+        walked.append(0)
+        replicate(net, policy, horizon_scaled, 2, rep)
+        assert walked[-1] == np.searchsorted(at, horizon, side="right"), rep
 
 
 def _assert_chain_cost_is_the_mean_of_its_path_cost(limits, policy, horizon_scaled):
@@ -391,10 +434,10 @@ def _left_to_right(terms):
 
 
 def _weighted_terms(net, policy, weights, h, seed, n_steps):
-    """The walk's first n_steps steps in one block, and each step's cost
-    times its value weight and times its end weight."""
-    (path,) = _walk(net, policy, seed, n_steps, n_steps)
-    hq = h[0] * path[BUFFER1][:-1] + h[1] * path[BUFFER2][:-1] + h[2] * path[BUFFER3][:-1]
+    """The cost of each of the walk's first n_steps steps, times its value
+    weight and times its end weight."""
+    states = np.concatenate([_stacked(path)[:-1] for _, path in _walk(net, policy, seed, n_steps)])
+    hq = h[0] * states[:, 0] + h[1] * states[:, 1] + h[2] * states[:, 2]
     return weights.value[:n_steps] * hq, _padded_end(weights)[:n_steps] * hq
 
 
@@ -449,9 +492,9 @@ def _walked_steps(monkeypatch):
 
     def counting_walk(*args, **kwargs):
         walked.append(0)
-        for path in real_walk(*args, **kwargs):
+        for start, path in real_walk(*args, **kwargs):
             walked[-1] += path[BUFFER1].size - 1
-            yield path
+            yield start, path
 
     monkeypatch.setattr(experiments, "_walk", counting_walk)
     return walked
@@ -490,10 +533,11 @@ def test_the_roulette_draw_is_the_keys_second_child(monkeypatch):
         assert draw != np.random.Generator(np.random.PCG64(seed)).random()
 
 
-def _assert_chain_step_walks_its_oracle(limits, r, policy):
+def _assert_chain_step_walks_its_oracle(limits, r, policy, monkeypatch):
     """The walk's paths, in blocks of several sizes and in one block of all
-    steps, are the stepwise oracle's states on the replication's uniforms,
-    and _server1 on those states gives the oracle's decision at each step."""
+    steps, each at the start it names, are the stepwise oracle's states on
+    the replication's uniforms, and _server1 on those states gives the
+    oracle's decision at each step."""
     net = make_r_network(limits, r, 1.2, 3.0)
     n = _chain_weights(net, limits.gamma, 15.0).value.size
     seed = replication_seed(7, r, 0)
@@ -501,29 +545,31 @@ def _assert_chain_step_walks_its_oracle(limits, r, policy):
     states, decisions = _stepwise_chain(net, policy, x)
     assert np.array_equal(_server1(policy, net, states[:-1]), decisions)
     for block in (_CHAIN_BLOCK, 1000, 4097, n):
-        start = 0
-        for path in _walk(net, policy, seed, n, block):
+        monkeypatch.setattr(simulate_module, "_CHAIN_BLOCK", block)
+        walked = 0
+        for start, path in _walk(net, policy, seed, n):
             got = _stacked(path)
+            assert start == walked, block
             assert np.array_equal(got, states[start : start + got.shape[0]]), (block, start)
-            start += got.shape[0] - 1
-        assert start == n, block
+            walked += got.shape[0] - 1
+        assert walked == n, block
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
 @pytest.mark.parametrize("policy", list(_PRIORITY_ORDER))
-def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy):
+def test_priority_cascade_has_the_bits_of_the_called_rule(limits, r, policy, monkeypatch):
     """A priority name takes the cascaded reflections; the oracle decides
     by its own rule at every step."""
-    _assert_chain_step_walks_its_oracle(limits, r, policy)
+    _assert_chain_step_walks_its_oracle(limits, r, policy, monkeypatch)
 
 
 @pytest.mark.parametrize("limits", [LIMITS, ASYMMETRIC_DRIFTED], ids=["symmetric", "asymmetric-drifted"])
 @pytest.mark.parametrize("r", [5.0, 20.0, 40.0])
-def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r):
+def test_threshold_kernel_has_the_bits_of_the_called_rule(limits, r, monkeypatch):
     """The name "threshold" takes the inlined rule; the oracle decides by
     its own rule at every step."""
-    _assert_chain_step_walks_its_oracle(limits, r, "threshold")
+    _assert_chain_step_walks_its_oracle(limits, r, "threshold", monkeypatch)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
