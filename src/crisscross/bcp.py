@@ -365,14 +365,14 @@ def estimate_j_star(
     g1 > 0 for valid limits). Each path's cost integral is formed that way,
     from its two workload integrals and the integral of (l . w)+.
 
-    With bridge minima the reflected workloads are exact in law at the grid
-    points, so the marginals' means on the grid are known exactly
-    (_reflected_mean). So is the mean of the discounted integral of
-    |l . X| over the free workload netput X, which is normal at each grid
-    point (_folded_mean). The cost is reported with these three integrals
-    as control variates: the two marginals take out its linear part, the
-    free kink most of the rest. Without bridge minima, or below five paths,
-    the cost is the plain mean.
+    With bridge minima each reflected workload coordinate (not their joint
+    law) is exact in law at the grid points, so the marginals' means on the
+    grid are known exactly (_reflected_mean). So is the mean of the
+    discounted integral of |l . X| over the free workload netput X, which is
+    normal at each grid point (_folded_mean). The cost is reported with
+    these three integrals as control variates: the two marginals take out
+    its linear part, the free kink most of the rest. Without bridge minima,
+    or below five paths, the cost is the plain mean.
     """
     gamma = limits.gamma
     if horizon is None:
@@ -502,9 +502,9 @@ def estimate_j_star(
     sigma = np.sqrt(np.diag(pcov))
     summaries = [_mc_summary(values) for values in samples[:3]]
     if bridge_minima:
-        # Bridge minima make W exact in law at the grid points, so the
-        # workload integrals' exact means on the grid control the cost;
-        # the free kink's grid mean is exact with or without them.
+        # Bridge minima make each coordinate of W (not their joint law)
+        # exact in law at the grid points, so the workload integrals' grid
+        # means control the cost; the free kink's is exact either way.
         t = grid[:-1]
         means = [np.add.reduce(wts * _reflected_mean(d, sd, t)) for d, sd in zip(pdrift, sigma)]
         means.append(np.add.reduce(wts * _folded_mean(float(ell @ pdrift), math.sqrt(ell @ pcov @ ell), t)))

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("diagnostics", parents=[common, replication], help="state-space-collapse diagnostics for one trajectory")
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--t-end", type=float, default=1.0, help="window end, scaled time (clipped to the record's end)")
     p.add_argument("--d", type=float, default=None, help="idleness guard level (default: theoretical constant)")
 
     return parser

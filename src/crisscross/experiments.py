@@ -351,11 +351,12 @@ def convergence_sweep(config: Config, policies: Sequence[str], bcp_dt: float, bc
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Pathwise state-space-collapse diagnostics over a time window.
+    """Pathwise state-space-collapse diagnostics over [0, t_end], t_end
+    clipped to the record's last time.
 
-    collapse_sup1: largest scaled buffer-1 content while the downstream stock
-    was at or above the (scaled) low threshold line.
-    collapse_sup3: largest scaled downstream content on the other side.
+    collapse_sup1: largest scaled buffer-1 content in states outside the
+    threshold rule's safe regime, q3 - ratio*q1 >= low (RNetwork.levels).
+    collapse_sup3: largest scaled downstream content in the safe regime.
     event_E_hit: whether either sup exceeded the collapse level
     kappa * (threshold_high - threshold_low + 1) / r.
     idle_mass_Y: server-2 idleness accumulated while scaled buffer 2 sat at or
@@ -393,13 +394,13 @@ def run_diagnostics(
         raise ValueError(f"idleness guard level d = {d!r} must be finite and >= 0")
     r = scaled.r
     times = scaled.times
+    t_end = min(t_end, float(times[-1]))
     in_window = times[:-1] < t_end
 
     q1 = scaled.queues[:, 0]
     q3 = scaled.queues[:, 2]
-    ratio = net.mu[1] / net.mu[0]
-    low_line = net.threshold_low / r
-    above = (q3 - ratio * q1) >= low_line
+    ratio, low, _, _ = net.levels
+    above = scaled.traj.queues[:, 2] - ratio * scaled.traj.queues[:, 0] >= low
 
     # Row k describes [t_k, t_{k+1}); the window covers rows with t_k < t_end.
     rows = np.flatnonzero(in_window) if in_window.size else np.array([0])

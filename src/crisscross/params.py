@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 HEAVY_TRAFFIC_TOL = 1e-12
 
@@ -115,6 +116,15 @@ def _require_valid(limits: NetworkLimits) -> None:
         raise ValueError(str(report))
 
 
+class _ThresholdLevels(NamedTuple):
+    """The levels of the threshold rule on one network."""
+
+    ratio: float     # mu2^r/mu1^r
+    low: int         # threshold_low
+    near_full: int   # threshold_high - 1
+    overgrow: float  # (mu1^r/mu2^r)(threshold_high - threshold_low + 2)
+
+
 @dataclass(frozen=True)
 class RNetwork:
     """One member of the scaled family: perturbed rates plus control thresholds.
@@ -133,6 +143,14 @@ class RNetwork:
     threshold_low: int
     threshold_high: int
 
+    @property
+    def levels(self) -> _ThresholdLevels:
+        """The threshold rule's levels, read by _server1, _threshold_gates,
+        make_r_network's usability floor and run_diagnostics."""
+        mu1, mu2 = self.mu[0], self.mu[1]
+        low, high = self.threshold_low, self.threshold_high
+        return _ThresholdLevels(mu2 / mu1, low, high - 1, (mu1 / mu2) * (high - low + 2))
+
 
 def make_r_network(limits: NetworkLimits, r: float, ell0: float, c: float) -> RNetwork:
     """Build the r-th network with drift offsets realized exactly.
@@ -143,9 +161,9 @@ def make_r_network(limits: NetworkLimits, r: float, ell0: float, c: float) -> RN
     r(lam_2^r/mu_3^r - 1) = b_3 hold identically. With b = 0 the rates equal
     their limits.
 
-    Rejects r below the usability floor of the threshold policy:
-    threshold_high - threshold_low - 1 >= 1 and
-    (mu1^r/mu2^r) (threshold_high - threshold_low + 2) >= 1.
+    Rejects r below the usability floor of the threshold policy, where its
+    levels (RNetwork.levels) give near_full - low < 1 or overgrow < 1; above
+    it the reflections of buffers 1 and 2 never bind in simulate._chain_step.
     """
     _require_valid(limits)
     if not (r >= 1.0) or not math.isfinite(r):
@@ -165,22 +183,23 @@ def make_r_network(limits: NetworkLimits, r: float, ell0: float, c: float) -> RN
         raise ValueError(f"threshold size c * ell0 * log(r) is not finite (ell0={ell0!r}, c={c!r}, r={r!r})")
     low = math.floor(ell0 * logr)
     high = math.floor(c * ell0 * logr)
-    mu1, mu2 = limits.mu[0], limits.mu[1]
-    if high - low - 1 < 1 or (mu1 / mu2) * (high - low + 2) < 1.0:
-        raise ValueError(
-            f"r = {r!r} below the usability floor: thresholds (low={low}, high={high}) "
-            "leave no room between the safety levels"
-        )
-    return RNetwork(
+    net = RNetwork(
         r=float(r),
         lam=(lam1, lam2),
-        mu=(mu1, mu2, mu3),
+        mu=(limits.mu[0], limits.mu[1], mu3),
         b=(b1, b2, b3),
         ell0=float(ell0),
         c=float(c),
         threshold_low=low,
         threshold_high=high,
     )
+    levels = net.levels
+    if levels.near_full - levels.low < 1 or levels.overgrow < 1.0:
+        raise ValueError(
+            f"r = {r!r} below the usability floor: thresholds (low={low}, high={high}) "
+            "leave no room between the safety levels"
+        )
+    return net
 
 
 def poisson_rate_function(rate: float, x: float) -> float:

@@ -8,7 +8,7 @@ and fall back to buffer 1 whenever buffer 2 is empty.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -70,27 +70,6 @@ def indicator_form_audit(q: tuple[int, int, int], net: RNetwork) -> bool:
     return True
 
 
-class _ThresholdLevels(NamedTuple):
-    """The levels of the threshold rule on one network."""
-
-    ratio: float     # mu2^r/mu1^r
-    low: int         # threshold_low
-    near_full: int   # threshold_high - 1
-    overgrow: float  # (mu1^r/mu2^r)(threshold_high - threshold_low + 2)
-
-
-def _threshold_levels(net: RNetwork) -> _ThresholdLevels:
-    """The one definition of the threshold rule's levels, read by _server1
-    and by the chain's loop (simulate._threshold_gates)."""
-    mu1, mu2 = net.mu[0], net.mu[1]
-    return _ThresholdLevels(
-        ratio=mu2 / mu1,
-        low=net.threshold_low,
-        near_full=net.threshold_high - 1,
-        overgrow=(mu1 / mu2) * (net.threshold_high - net.threshold_low + 2),
-    )
-
-
 # Server 1's buffer order under each static priority: the preferred buffer,
 # then the one it falls back to when the preferred one is empty.
 _PRIORITY_ORDER = {"priority1": (BUFFER1, BUFFER2), "priority2": (BUFFER2, BUFFER1)}
@@ -122,14 +101,14 @@ def _server1(name: str, net: RNetwork | None, q: np.ndarray) -> np.ndarray:
       the high mark (q3 >= threshold_high - 1) or there is nothing to drain.
       Outside it, buffer 2 is drained unless buffer 1 has grown past
       (mu1^r/mu2^r)(threshold_high - threshold_low + 2) or there is
-      nothing to drain. _threshold_levels holds these levels.
+      nothing to drain. RNetwork.levels holds these levels.
 
     indicator_form_audit re-derives the threshold rule independently.
     """
     _require_policy(name, net)
     q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2]
     if name == "threshold":
-        ratio, low, near_full, overgrow = _threshold_levels(net)
+        ratio, low, near_full, overgrow = net.levels
         feed = (q2 > 0) & np.where(q3 - ratio * q1 < low, q3 < near_full, q1 < overgrow)
         busy = np.where(feed, BUFFER2, BUFFER1)
     else:

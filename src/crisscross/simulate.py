@@ -19,8 +19,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .params import RNetwork
-from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, _require_policy, _server1, _threshold_levels, _ThresholdLevels
+from .params import RNetwork, _ThresholdLevels
+from .policies import _PRIORITY_ORDER, BUFFER1, BUFFER2, BUFFER3, IDLE, _require_policy, _server1
 from .workload import WorkloadMatrix
 
 __all__ = [
@@ -167,7 +167,7 @@ def _threshold_gates(
     Between two such steps buffer 3 meets only server-2 band steps, each
     serving it if it is nonempty, so its level is the last one less those
     steps, floored at 0. The rule of policies._server1 runs inlined on
-    Python ints, with the levels of _threshold_levels.
+    Python ints, at the levels RNetwork.levels gives.
     """
     steps = np.flatnonzero(band1)
 
@@ -242,7 +242,7 @@ def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) ->
     band2 = x >= edge2
     path = {}
     if policy == "threshold":
-        gate = _threshold_gates(_threshold_levels(net), q, x, arrive, band1, band2, serve)
+        gate = _threshold_gates(net.levels, q, x, arrive, band1, band2, serve)
         for b in (BUFFER1, BUFFER2):
             path[b] = _reflect(q[b], _less(arrive[b], gate[b]))
     else:

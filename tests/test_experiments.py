@@ -53,17 +53,17 @@ _UNIT_NET = RNetwork(
 )
 
 
-def _constant_queue_path(times, queues):
-    """Raw view of a hand-made record at r = 1."""
+def _constant_queue_path(times, queues, net=_UNIT_NET, kind="raw"):
+    """A view of a hand-made record on net (by default the raw view at r = 1)."""
     times = np.asarray(times, dtype=float)
     traj = Trajectory(
-        r=1.0,
+        r=net.r,
         horizon=float(times[-1]),
         epochs=times,
         queues=np.asarray(queues, dtype=np.int64),
         activity=np.zeros((times.shape[0], 2), dtype=np.int8),
     )
-    return ScaledTrajectory(traj, _UNIT_NET, "raw")
+    return ScaledTrajectory(traj, net, kind)
 
 
 def test_discounted_cost_of_a_unit_pulse():
@@ -769,6 +769,37 @@ def test_diagnostics_levels_and_kappa(constants):
     assert report.idle_level > 0.0
     assert report.product_sup >= 0.0
     assert report.r == net.r
+
+
+@pytest.mark.parametrize(
+    "limits, state",
+    [(LIMITS, (2, 1, 3)), (ASYMMETRIC_DRIFTED, (4, 1, 7))],
+    ids=["symmetric", "asymmetric-drifted"],
+)
+def test_diagnostics_split_states_on_the_rules_regime_line(limits, state):
+    """A state on the line q3 - ratio*q1 = low lies outside the rule's safe
+    regime, so its q1 counts in collapse_sup1 and its q3 not in
+    collapse_sup3. At r = 5 the same test on scaled floats, here
+    q3/r - ratio*q1/r >= low/r, misses it by one rounding."""
+    net = make_r_network(limits, 5.0, 1.2, 3.0)
+    q1, _, q3 = state
+    assert q3 - (net.mu[1] / net.mu[0]) * q1 == net.threshold_low
+    scaled = _constant_queue_path([0.0, 25.0], [state, state], net, "diffusion")
+    report = run_diagnostics(scaled, net, compute_threshold_constants(limits), t_end=1.0)
+    assert report.collapse_sup1 == q1 / 5.0
+    assert report.collapse_sup3 == 0.0
+
+
+def test_diagnostics_window_ends_with_the_record(constants):
+    """A t_end past the record is clipped to the record's last time, which
+    the report gives as its t_end; every other field is that window's."""
+    net = make_r_network(LIMITS, 5.0, 1.2, 3.0)
+    scaled = diffusion_scale(simulate(net, "threshold", 25.0, 3), net)
+    end = float(scaled.times[-1])
+    assert end == 1.0
+    report = run_diagnostics(scaled, net, constants, t_end=1e9)
+    assert report.t_end == end
+    assert report == run_diagnostics(scaled, net, constants, t_end=end)
 
 
 def test_diagnostics_argument_checks(constants):

@@ -18,6 +18,8 @@ from crisscross.params import (
 
 EXAMPLE = NetworkLimits(lam=(1.0, 1.0), mu=(2.0, 2.0, 1.0), h=(1.0, 1.0, 1.0), gamma=1.0)
 ASYMMETRIC = NetworkLimits(lam=(0.8, 1.8), mu=(2.0, 3.0, 1.8), h=(1.2, 1.0, 0.6), gamma=1.0)
+# mu2 = 5 mu1: overgrow = (mu1/mu2)(high - low + 2) can fall below 1 with room between the levels.
+STEEP = NetworkLimits(lam=(0.5, 2.5), mu=(1.0, 5.0, 2.5), h=(1.0, 1.0, 0.9), gamma=1.0)
 
 # Frozen reference values, computed once with 50-digit decimal arithmetic from
 # x log(x / rate) - x + rate and the constant formulas below.
@@ -123,6 +125,25 @@ def test_threshold_sizes_at_r20():
 def test_unusable_scaling_rejected():
     with pytest.raises(ValueError):
         make_r_network(EXAMPLE, 1.0, 1.2, 3.0)
+
+
+@pytest.mark.parametrize("limits", [EXAMPLE, ASYMMETRIC, STEEP], ids=["symmetric", "asymmetric", "steep"])
+def test_the_usability_floor_is_the_test_of_the_levels(limits):
+    """make_r_network refuses r exactly where the thresholds low =
+    floor(ell0 log r) and high = floor(c ell0 log r) give
+    high - low - 1 < 1 or (mu1/mu2)(high - low + 2) < 1, with its message;
+    above that floor the network's levels are the rule's four levels.
+    STEEP at r = 5 (low = 1, high = 3) meets only the second test."""
+    mu1, mu2 = limits.mu[0], limits.mu[1]
+    for r in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 15.0, 40.0):
+        low, high = math.floor(math.log(r)), math.floor(2.0 * math.log(r))
+        if high - low - 1 < 1 or (mu1 / mu2) * (high - low + 2) < 1.0:
+            message = f"r = {r!r} below the usability floor: thresholds \\(low={low}, high={high}\\) leave no room"
+            with pytest.raises(ValueError, match=message):
+                make_r_network(limits, r, 1.0, 2.0)
+        else:
+            levels = make_r_network(limits, r, 1.0, 2.0).levels
+            assert levels == (mu2 / mu1, low, high - 1, (mu1 / mu2) * (high - low + 2))
 
 
 def test_threshold_shape_arguments_checked():
