@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import NetworkLimits, _require_valid
+from .params import NetworkLimits, _require_valid, is_seed
 from .simulate import SeedLike
 from .workload import WorkloadMatrix, cheapest_queues, effective_cost_coefficients
 
@@ -377,7 +377,7 @@ def estimate_j_star(
     gamma = limits.gamma
     if horizon is None:
         horizon = 15.0 / gamma
-    if n_paths < 1:
+    if not is_seed(n_paths) or n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths!r}")
     n = _grid_steps(dt, horizon)
     need = _buffer_need(n, n_paths)
@@ -531,7 +531,6 @@ def estimate_j_star(
 class AdmissibilityReport:
     """Residuals from reconstructing the limit control behind a reflected path."""
 
-    ok: bool
     queue_residual: float        # reconstructed queues vs cheapest configuration
     queue_floor: float           # most negative reconstructed queue component
     idle_residual: float         # server idleness vs pushing processes
@@ -539,6 +538,13 @@ class AdmissibilityReport:
     pushing_monotone: float      # most negative pushing increment
     workload_residual: float     # workload vs netput workload + pushing
     workload_floor: float        # most negative workload value
+
+    @property
+    def ok(self) -> bool:
+        """Every residual within _AUDIT_ATOL."""
+        upper = (self.queue_residual, self.idle_residual, self.pushing_start, self.workload_residual)
+        lower = (self.queue_floor, self.pushing_monotone, self.workload_floor)
+        return all(x <= _AUDIT_ATOL for x in upper) and all(x >= -_AUDIT_ATOL for x in lower)
 
 
 def admissibility_audit(path: RbmPath, limits: NetworkLimits) -> AdmissibilityReport:
@@ -563,8 +569,7 @@ def admissibility_audit(path: RbmPath, limits: NetworkLimits) -> AdmissibilityRe
     proj = WorkloadMatrix(limits.mu).array
     w_free = path.netput @ proj.T
 
-    report = AdmissibilityReport(
-        ok=False,
+    return AdmissibilityReport(
         queue_residual=float(np.abs(q - q_star).max()),
         queue_floor=float(q.min()),
         idle_residual=float(np.abs((y1 + y2) - v1).max()),
@@ -573,13 +578,3 @@ def admissibility_audit(path: RbmPath, limits: NetworkLimits) -> AdmissibilityRe
         workload_residual=float(np.abs(w - (w_free + path.pushing)).max()),
         workload_floor=float(w.min()),
     )
-    ok = (
-        report.queue_residual <= _AUDIT_ATOL
-        and report.queue_floor >= -_AUDIT_ATOL
-        and report.idle_residual <= _AUDIT_ATOL
-        and report.pushing_start <= _AUDIT_ATOL
-        and report.pushing_monotone >= -_AUDIT_ATOL
-        and report.workload_residual <= _AUDIT_ATOL
-        and report.workload_floor >= -_AUDIT_ATOL
-    )
-    return replace(report, ok=ok)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bcp import _ROULETTE_P, CostEstimate, _discount_weights, _mc_summary, _roulette_cut, estimate_j_star
 from .params import Config, NetworkLimits, RNetwork, ThresholdConstants, compute_threshold_constants, is_seed, kappa_bound, make_r_network, varsigma2
-from .policies import BUFFER1, BUFFER2, BUFFER3, _require_policy
+from .policies import _require_policy
 from .simulate import ScaledTrajectory, Trajectory, _child, _clock_rate, _walk, event_budget, simulate
 
 __all__ = [
@@ -144,7 +144,7 @@ def estimate_cost(
     numbers). A run that event_budget refuses is refused before anything is
     allocated.
     """
-    if n_reps < 1:
+    if not is_seed(n_reps) or n_reps < 1:
         raise ValueError(f"n_reps = {n_reps!r} must be >= 1")
     if not (horizon_scaled > 0.0):
         raise ValueError(f"horizon_scaled = {horizon_scaled!r} must be > 0")
@@ -277,7 +277,7 @@ def _chain_cost(net: RNetwork, policy: str, weights: _ChainWeights, h: tuple[flo
     end_lo = weights.end_lo
     end_hi = end_lo + weights.end.shape[0]
     for start, path in _walk(net, policy, seed, n_steps):
-        hq = h1 * path[BUFFER1][:-1] + h2 * path[BUFFER2][:-1] + h3 * path[BUFFER3][:-1]
+        hq = h1 * path[:-1, 0] + h2 * path[:-1, 1] + h3 * path[:-1, 2]
         stop = start + hq.shape[0]
         for i, (lo, hi) in enumerate(stretches):
             lo, hi = max(start, lo), min(stop, hi)
@@ -470,7 +470,7 @@ def ld_check(
         raise ValueError(f"rate = {rate!r} must be finite and > 0")
     if not (0.0 < eps < rate):
         raise ValueError(f"need 0 < eps < rate, got eps = {eps!r}, rate = {rate!r}")
-    if n_samples < 1:
+    if not is_seed(n_samples) or n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be >= 1")
     if len(t_grid) == 0:
         raise ValueError("t_grid must hold at least one window length")

@@ -57,8 +57,11 @@ class NetworkLimits:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __str__(self) -> str:
         if self.ok:
@@ -76,7 +79,7 @@ def validate_limits(limits: NetworkLimits) -> ValidationReport:
     v: list[str] = []
     lam, mu, h = limits.lam, limits.mu, limits.h
     if len(lam) != 2 or len(mu) != 3 or len(h) != 3:
-        return ValidationReport(False, ("shape: need 2 arrival rates, 3 service rates, 3 holding costs",))
+        return ValidationReport(("shape: need 2 arrival rates, 3 service rates, 3 holding costs",))
     for name, vals in (("arrival rate", lam), ("service rate", mu), ("holding cost", h)):
         for i, x in enumerate(vals, start=1):
             if not (x > 0.0) or not math.isfinite(x):
@@ -87,7 +90,7 @@ def validate_limits(limits: NetworkLimits) -> ValidationReport:
         if not math.isfinite(x):
             v.append(f"drift offset {x!r} must be finite")
     if v:
-        return ValidationReport(False, tuple(v))
+        return ValidationReport(tuple(v))
 
     load = lam[0] / mu[0] + lam[1] / mu[1]
     if abs(load - 1.0) > HEAVY_TRAFFIC_TOL:
@@ -107,7 +110,7 @@ def validate_limits(limits: NetworkLimits) -> ValidationReport:
         v.append(f"cost ordering: h2*mu2 - h3*mu2 = {g2!r} must be >= 0")
     if g3 < 0.0:
         v.append(f"cost ordering: h2*mu2 - h1*mu1 = {g3!r} must be >= 0")
-    return ValidationReport(not v, tuple(v))
+    return ValidationReport(tuple(v))
 
 
 def _require_valid(limits: NetworkLimits) -> None:
@@ -369,7 +372,7 @@ def parse_config(raw: dict) -> Config:
         kwargs["seed"] = seed
     if "replications" in raw:
         reps = raw["replications"]
-        if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        if not is_seed(reps) or reps < 1:
             raise ConfigError(f"key 'replications' must be a positive integer, got {reps!r}")
         kwargs["replications"] = reps
     if "horizon" in raw:

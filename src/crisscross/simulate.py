@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -132,34 +132,31 @@ def event_budget(net: RNetwork, horizon: float) -> float:
     return events
 
 
-def _reflect(q0: int, inc: np.ndarray) -> np.ndarray:
-    """Lindley's recursion q_k = max(q_{k-1} + inc_k, 0) from q0 >= 0: the
-    queue's path, q0 first, then its value after each step. The reflected
-    walk is the free walk q0 + cumsum(inc) less its running minimum where
-    that is below 0, so it is exact on integers."""
-    path = np.zeros(inc.shape[0] + 1, dtype=np.int64)
-    np.cumsum(inc, dtype=np.int64, out=path[1:])
-    path += q0
-    path -= np.minimum(np.minimum.accumulate(path), 0)
-    return path
-
-
-def _less(up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """The steps of mask up less those of mask down, as -1/0/1 increments."""
-    return up.view(np.int8) - down.view(np.int8)
+def _reflect(q0: int, up: np.ndarray, down: np.ndarray, out: np.ndarray) -> None:
+    """Lindley's recursion q_k = max(q_{k-1} + up_k - down_k, 0) from
+    q0 >= 0, for the step masks up and down: the queue's path, q0 first,
+    then its value after each step, written into the int64 row out. The
+    reflected walk is the free walk q0 + cumsum(up - down) less its running
+    minimum where that is below 0, so it is exact on integers."""
+    out[0] = 0
+    np.cumsum(up.view(np.int8) - down.view(np.int8), dtype=np.int64, out=out[1:])
+    out += q0
+    out -= np.minimum(np.minimum.accumulate(out), 0)
 
 
 def _threshold_gates(
     levels: _ThresholdLevels,
-    q: dict[int, int],
+    q: Sequence[int],
     x: np.ndarray,
-    arrive: dict[int, np.ndarray],
+    arrive: np.ndarray,
     band1: np.ndarray,
     band2: np.ndarray,
-    serve: dict[int, float],
-) -> dict[int, np.ndarray]:
-    """The services at buffers 1 and 2 of one block of _chain_step under
-    the threshold rule, from the queues q before the block.
+    serve: np.ndarray,
+) -> np.ndarray:
+    """The steps of one block of _chain_step at which server 1 serves
+    buffers 1 and 2 under the threshold rule, from the queues q = (q1, q2,
+    q3) before the block: a (2, n) mask, row b - 1 for buffer b, as are the
+    arrival masks arrive and the column of serve edges.
 
     A Python loop visits the server-1 band steps only, with the arrivals at
     buffers 1 and 2 and the server-2 band steps since the previous one, and
@@ -175,12 +172,12 @@ def _threshold_gates(
         return np.diff(np.cumsum(mask)[steps], prepend=0).tolist()
 
     y = x[steps]
-    in_mu1, in_mu2 = (y < serve[BUFFER1]).tolist(), (y < serve[BUFFER2]).tolist()
-    rows = zip(since(arrive[BUFFER1]), since(arrive[BUFFER2]), since(band2), in_mu1, in_mu2)
+    in_mu1, in_mu2 = (y < serve[0]).tolist(), (y < serve[1]).tolist()
+    rows = zip(since(arrive[0]), since(arrive[1]), since(band2), in_mu1, in_mu2)
     ratio, low, near_full, overgrow = levels
     codes = bytearray()
     push = codes.append
-    q1, q2, q3 = q[BUFFER1], q[BUFFER2], q[BUFFER3]
+    q1, q2, q3 = q
     for n1, n2, n3, can1, can2 in rows:
         q1 += n1
         q2 += n2
@@ -201,14 +198,16 @@ def _threshold_gates(
             push(IDLE)
     server1 = np.zeros(x.shape[0], dtype=np.int8)
     server1[steps] = np.frombuffer(codes, dtype=np.int8)
-    return {BUFFER1: server1 == BUFFER1, BUFFER2: server1 == BUFFER2}
+    return server1 == np.array([[BUFFER1], [BUFFER2]], dtype=np.int8)
 
 
-def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) -> dict[int, np.ndarray]:
+def _chain_step(net: RNetwork, policy: str, q: Sequence[int], x: np.ndarray) -> np.ndarray:
     """One block of the network's uniformized jump chain under the named
-    policy: from the queues q before the block and its uniforms x, scaled to
-    [0, L) (_clock_rate), each queue's path over the block, keyed by buffer:
-    n + 1 values, q first, then the queue after each step.
+    policy: from the queues q = (q1, q2, q3) before the block and its
+    uniforms x, scaled to [0, L) (_clock_rate), the queues over the block
+    in Trajectory.queues' layout, an (n + 1, 3) int64 array: q first, then
+    the state after each step, column b - 1 for buffer b. It is the
+    transpose of a (3, n + 1) buffer, so each queue's path is contiguous.
 
     Each uniform falls in one of four bands: arrival 1 (width lam1),
     arrival 2 (lam2), server 1 (max(mu1, mu2)) and server 2 (mu3). In
@@ -234,47 +233,46 @@ def _chain_step(net: RNetwork, policy: str, q: dict[int, int], x: np.ndarray) ->
     lam1, lam2 = net.lam
     mu1, mu2, _ = net.mu
     edge1 = lam1 + lam2
-    serve = {BUFFER1: edge1 + mu1, BUFFER2: edge1 + mu2}
+    serve = np.array([[edge1 + mu1], [edge1 + mu2]])
     edge2 = edge1 + max(mu1, mu2)
-    arrive1 = x < lam1
-    arrive = {BUFFER1: arrive1, BUFFER2: (x < edge1) & ~arrive1}
+    arrive = x < np.array([[lam1], [edge1]])
+    arrive[1] &= ~arrive[0]
     band1 = (x >= edge1) & (x < edge2)
     band2 = x >= edge2
-    path = {}
+    path = np.empty((3, x.shape[0] + 1), dtype=np.int64)
     if policy == "threshold":
         gate = _threshold_gates(net.levels, q, x, arrive, band1, band2, serve)
-        for b in (BUFFER1, BUFFER2):
-            path[b] = _reflect(q[b], _less(arrive[b], gate[b]))
+        for j in (0, 1):
+            _reflect(q[j], arrive[j], gate[j], path[j])
     else:
-        first, second = _PRIORITY_ORDER[policy]
-        gate = {first: band1 & (x < serve[first])}
-        path[first] = _reflect(q[first], _less(arrive[first], gate[first]))
-        gate[second] = band1 & (x < serve[second]) & (path[first][:-1] == 0)
-        path[second] = _reflect(q[second], _less(arrive[second], gate[second]))
-    served2 = gate[BUFFER2] & (path[BUFFER2][:-1] > 0)
-    path[BUFFER3] = _reflect(q[BUFFER3], _less(served2, band2))
-    return path
+        first, second = (b - 1 for b in _PRIORITY_ORDER[policy])
+        gate = band1 & (x < serve)
+        _reflect(q[first], arrive[first], gate[first], path[first])
+        gate[second] &= path[first, :-1] == 0
+        _reflect(q[second], arrive[second], gate[second], path[second])
+    _reflect(q[2], gate[1] & (path[1, :-1] > 0), band2, path[2])
+    return path.T
 
 
-def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: int) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
+def _walk(net: RNetwork, policy: str, seed: SeedLike, n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
     """The first n_steps steps of the uniformized jump chain of net under
-    policy from the empty state, as (start, path): _chain_step's paths over
-    consecutive blocks of at most _CHAIN_BLOCK steps, start the index of a
-    block's first step.
+    policy from the empty state, as (start, path): _chain_step's (n + 1, 3)
+    queues over consecutive blocks of at most _CHAIN_BLOCK steps, start the
+    index of a block's first step.
 
     This is the one definition of the chain's stream: its uniforms are
     PCG64(seed)'s doubles in order, one per step, scaled to [0, L), and each
-    block starts from the queues the previous one ended in. Both walks read
-    it: simulate with Exp(L) holding times, experiments._chain_cost with
-    them integrated out. The uniforms are one stream, so the chain does not
-    depend on _CHAIN_BLOCK.
+    block starts from the state path[-1] the previous one ended in. Both
+    walks read it: simulate with Exp(L) holding times,
+    experiments._chain_cost with them integrated out. The uniforms are one
+    stream, so the chain does not depend on _CHAIN_BLOCK.
     """
     rate = _clock_rate(net)
     uniforms = np.random.Generator(np.random.PCG64(seed))
-    q = {BUFFER1: 0, BUFFER2: 0, BUFFER3: 0}
+    q = [0, 0, 0]
     for start in range(0, n_steps, _CHAIN_BLOCK):
         path = _chain_step(net, policy, q, uniforms.random(min(_CHAIN_BLOCK, n_steps - start)) * rate)
-        q = {b: int(p[-1]) for b, p in path.items()}
+        q = path[-1].tolist()
         yield start, path
 
 
@@ -330,10 +328,9 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
 
     epochs, queues = [np.zeros(1)], [np.zeros((1, 3), dtype=np.int64)]
     for start, path in _walk(net, policy, ss, n_steps):
-        p1, p2, p3 = path[BUFFER1], path[BUFFER2], path[BUFFER3]
-        moved = (p1[1:] != p1[:-1]) | (p2[1:] != p2[:-1]) | (p3[1:] != p3[:-1])
+        moved = (path[1:] != path[:-1]).any(axis=1)
         epochs.append(at[start : start + moved.size][moved])
-        queues.append(np.stack([p1[1:][moved], p2[1:][moved], p3[1:][moved]], axis=1))
+        queues.append(path[1:][moved])
     # A terminal row holds the last state at the horizon, unless a step fell on it.
     last = [k for k, piece in enumerate(epochs) if piece.size][-1]
     if epochs[last][-1] < horizon:
@@ -349,8 +346,11 @@ def simulate(net: RNetwork, policy: str, horizon: float, seed: SeedLike) -> Traj
 
 @dataclass(frozen=True)
 class ConservationReport:
-    ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     @property
     def first(self) -> str | None:
@@ -419,7 +419,7 @@ def check_conservation(traj: Trajectory) -> ConservationReport:
     bad((d_cnt[:, 2] > 0) & (act[:-1, 0] != BUFFER1), "service at buffer 1 while server 1 is not on it")
     bad((d_cnt[:, 3] > 0) & (act[:-1, 0] != BUFFER2), "service at buffer 2 while server 1 is not on it")
 
-    return ConservationReport(not v, tuple(v))
+    return ConservationReport(tuple(v))
 
 
 SCALES = ("raw", "fluid", "diffusion")

@@ -117,6 +117,12 @@ def test_a_path_count_past_the_buffer_limit_is_refused():
         estimate_j_star(LIMITS, dt=0.5, n_paths=10**14)
 
 
+def test_a_path_count_is_an_int_of_at_least_one():
+    for n_paths in (0, -1, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match=f"need n_paths >= 1, got {n_paths!r}"):
+            estimate_j_star(LIMITS, dt=0.5, horizon=1.0, n_paths=n_paths)
+
+
 def _traced_peak(**kwargs):
     tracemalloc.start()
     try:

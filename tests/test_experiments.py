@@ -142,6 +142,9 @@ def test_estimate_cost_argument_checks():
     for h in _BAD_H:
         with pytest.raises(ValueError, match="holding costs h = .* must be three finite numbers >= 0"):
             estimate_cost(net, "threshold", 1.0, h, 0.5, 2, seed=0)
+    for n_reps in (2.5, True, math.nan):
+        with pytest.raises(ValueError, match="n_reps"):
+            estimate_cost(net, "threshold", 1.0, LIMITS.h, 0.5, n_reps, seed=0)
 
 
 def test_a_policy_is_a_name():
@@ -251,11 +254,6 @@ def _stepwise_chain(net, policy, x, q0=(0, 0, 0)):
             q3 -= 1
         states.append((q1, q2, q3))
     return np.array(states, dtype=np.int64), np.array(decisions, dtype=np.int8)
-
-
-def _stacked(states):
-    """A {buffer: path} dict of _chain_step as an (n + 1, 3) array."""
-    return np.stack([states[b] for b in (BUFFER1, BUFFER2, BUFFER3)], axis=1)
 
 
 def _padded_end(weights):
@@ -436,7 +434,7 @@ def _left_to_right(terms):
 def _weighted_terms(net, policy, weights, h, seed, n_steps):
     """The cost of each of the walk's first n_steps steps, times its value
     weight and times its end weight."""
-    states = np.concatenate([_stacked(path)[:-1] for _, path in _walk(net, policy, seed, n_steps)])
+    states = np.concatenate([path[:-1] for _, path in _walk(net, policy, seed, n_steps)])
     hq = h[0] * states[:, 0] + h[1] * states[:, 1] + h[2] * states[:, 2]
     return weights.value[:n_steps] * hq, _padded_end(weights)[:n_steps] * hq
 
@@ -493,7 +491,7 @@ def _walked_steps(monkeypatch):
     def counting_walk(*args, **kwargs):
         walked.append(0)
         for start, path in real_walk(*args, **kwargs):
-            walked[-1] += path[BUFFER1].size - 1
+            walked[-1] += path.shape[0] - 1
             yield start, path
 
     monkeypatch.setattr(experiments, "_walk", counting_walk)
@@ -548,10 +546,9 @@ def _assert_chain_step_walks_its_oracle(limits, r, policy, monkeypatch):
         monkeypatch.setattr(simulate_module, "_CHAIN_BLOCK", block)
         walked = 0
         for start, path in _walk(net, policy, seed, n):
-            got = _stacked(path)
             assert start == walked, block
-            assert np.array_equal(got, states[start : start + got.shape[0]]), (block, start)
-            walked += got.shape[0] - 1
+            assert np.array_equal(path, states[start : start + path.shape[0]]), (block, start)
+            walked += path.shape[0] - 1
         assert walked == n, block
 
 
@@ -594,9 +591,10 @@ def test_threshold_kernel_gates_match_the_closure_on_edge_states(limits, r, ell0
     q0 = data.draw(st.tuples(*[st.integers(0, top)] * 3), label="q")
     u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64), label="u")
     x = np.array(u) * _clock_rate(net)
-    path = _chain_step(net, "threshold", dict(zip((BUFFER1, BUFFER2, BUFFER3), q0)), x)
+    path = _chain_step(net, "threshold", q0, x)
     states, decisions = _stepwise_chain(net, "threshold", x, q0)
-    assert _stacked(path).tolist() == states.tolist(), (q0, u)
+    assert (path.shape, path.dtype) == ((len(u) + 1, 3), np.int64), (q0, u)
+    assert path.tolist() == states.tolist(), (q0, u)
     assert _server1("threshold", net, states[:-1]).tolist() == decisions.tolist(), (q0, u)
 
 
@@ -622,7 +620,9 @@ def test_server1_matches_the_stepwise_oracle_rule_on_edge_states(limits, policy)
     | st.integers(min_value=1, max_value=20).map(lambda n: [-1] * n),
 )
 def test_reflect_is_lindleys_recursion(q0, inc):
-    path = _reflect(q0, np.array(inc, dtype=np.int8))
+    inc = np.array(inc)
+    path = np.empty(inc.size + 1, dtype=np.int64)
+    _reflect(q0, inc == 1, inc == -1, path)
     want = [q0]
     for step in inc:
         want.append(max(want[-1] + step, 0))
@@ -712,8 +712,9 @@ def test_poisson_tail_domain_errors():
         ld_check(1.0, 1.0, (1.0,), 10, seed=0)
     with pytest.raises(ValueError):
         ld_check(0.0, 0.5, (1.0,), 10, seed=0)
-    with pytest.raises(ValueError):
-        ld_check(1.0, 0.5, (1.0,), 0, seed=0)
+    for n_samples in (0, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match="n_samples"):
+            ld_check(1.0, 0.5, (1.0,), n_samples, seed=0)
     with pytest.raises(ValueError):
         ld_check(1.0, 0.5, (-1.0,), 10, seed=0)
     for t in (math.nan, math.inf, -math.inf):
